@@ -2,9 +2,10 @@
 with angular barrier terms, V = a1^2 r^2 + (a2^2/sin^2 t + a3^2 cot^2 t)/r^2.
 
 The spectrum comes out of the parametric Nikiforov-Uvarov template
-(`nu_solver`, `spectrum`), the partition function out of certified direct
-sums and Euler-Maclaurin closed forms (`partition`), and the thermal
-functions F, U, S, C out of ln Z and its alpha-derivatives (`thermo`).
+(`nu_solver`, `spectrum`), the partition function out of the exact
+closed-form ladders, certified direct sums and Euler-Maclaurin closed
+forms (`partition`), and the thermal functions F, U, S, C out of ln Z
+and its alpha-derivatives (`thermo`).
 `cli` wraps it all in a deterministic command-line tool.
 """
 
@@ -27,9 +28,9 @@ from .partition import (
     VARIANT_PAPER,
     PartitionSpec,
     PartitionValue,
-    boltzmann_moments,
     convergence_integral,
     em_sum,
+    ladder_log_z_moments,
     partition_closed_form_1d,
     partition_direct,
     partition_em,

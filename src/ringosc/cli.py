@@ -48,6 +48,7 @@ FIGURES = {
 }
 
 PARTITION_METHODS = ("direct", "em", "em-paper", "exact")
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,14 @@ class RunManifest:
     spacing: str = "log"
     z_method: str = "direct"
     figure: str | None = None
+
+    def __post_init__(self):
+        if self.figure is not None and self.figure not in FIGURES:
+            raise UsageError(f"unknown figure {self.figure!r}; expected one of {tuple(FIGURES)}")
+        if self.format not in FORMATS:
+            raise UsageError(f"format must be one of {FORMATS}, got {self.format!r}")
+        if self.n_max < 0 or self.ell_max < 0:
+            raise DomainError(f"n_max and ell_max must be >= 0, got {self.n_max} and {self.ell_max}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -372,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mass", type=float, default=1.0)
         sp.add_argument("--hbar", type=float, default=1.0)
         sp.add_argument("--mode", choices=(ONE_D, THREE_D), default=THREE_D)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", choices=FORMATS, default="csv")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("spectrum", help="level table")

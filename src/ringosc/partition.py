@@ -1,11 +1,13 @@
 """Canonical partition functions of the 4n + 2 ell + 3 level ladder.
 
-Three routes to Z, all in the dimensionless temperature
-alpha = 1/(beta xi):
+Routes to Z, all in the dimensionless temperature alpha = 1/(beta xi):
 
+* ``ladder_log_z_moments`` evaluates the exact infinite ladder in closed
+  form: ln Z and the mean and variance of the excitation, O(1) per
+  temperature.  This is the ``direct`` route of the thermal functions;
 * ``partition_direct`` sums the Boltzmann series term by term and
   certifies the truncation with an explicit closed-form tail bound, so
-  it can serve as the reference everywhere;
+  it serves as the reference for every closed form;
 * ``partition_em_3d`` / ``partition_em_1d`` evaluate the second-order
   Euler-Maclaurin closed forms;
 * ``em_sum`` plus the derivative bundles assemble the Euler-Maclaurin
@@ -17,8 +19,9 @@ start at a bare 1 and Z(alpha -> 0+) = 1:
     3d: Z = sum_{n'>=0} (1 + n')^2 exp(-2 n'/alpha)   (degenerate ladder)
     1d: Z = sum_{N>=0}  exp(-N/alpha)                  (single ladder)
 
-The 1d series is geometric, so its exact closed form
-1/(1 - e^(-1/alpha)) is also exposed.
+Both series are geometric: with x = e^(-2/alpha) the 3d one is
+(1 + x)/(1 - x)^3, and with x = e^(-1/alpha) the 1d one is 1/(1 - x),
+also exposed as ``partition_closed_form_1d``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ __all__ = [
     "partition_direct",
     "partition_closed_form_1d",
     "suggested_cutoff",
-    "boltzmann_moments",
+    "ladder_log_z_moments",
     "em_sum",
     "em_bundle_3d",
     "em_bundle_1d",
@@ -195,37 +198,33 @@ def partition_closed_form_1d(alpha_bar: float) -> PartitionValue:
     return PartitionValue(Z=1.0 / -math.expm1(-1.0 / alpha_bar), method="closed_form_exact")
 
 
-def boltzmann_moments(
-    mode: str, alpha_bar: float, cutoff: int | None = None, tail_rtol: float = 1e-14
-) -> tuple[float, float, float]:
-    """(Z, mean, variance) of the dimensionless excitation e = (E - E0)/xi.
+def ladder_log_z_moments(mode: str, alpha_bar: float) -> tuple[float, float, float]:
+    """(ln Z, mean, variance) of the excitation e = (E - E0)/xi over the
+    exact infinite ladder, in closed form.
 
-    e runs over 2n' (3d, weight (1+n')^2) or N (1d, weight 1).  The
-    variance is accumulated as a sum of non-negative terms, so it can
-    never go negative through rounding; this is what makes the specific
-    heat from direct sums non-negative by construction.
+    With x = e^(-c/alpha), c = 2 (3d) or 1 (1d), and L = log(1 - x):
+
+        3d (e = 2n'): ln Z = log1p(x) - 3L,  mean = 2 (x/(1+x) + 3x/(1-x)),
+                      var = 4 (x/(1+x)^2 + 3x/(1-x)^2);
+        1d (e = N):   ln Z = -L,  mean = x/(1-x),  var = x/(1-x)^2.
+
+    ln Z is returned directly, so it keeps its digits where Z rounds to 1,
+    and the variance is a sum of non-negative terms, so the specific heat
+    is non-negative by construction.
     """
     _check_mode(mode)
     _check_alpha(alpha_bar)
-    if cutoff is None:
-        # the e^2-weighted tail decays slower than the bare series by a
-        # polynomial factor; half again plus a flat margin buries it
-        n0 = suggested_cutoff(mode, alpha_bar, tail_rtol)
-        n0 += n0 // 2 + 50
-    else:
-        n0 = int(cutoff)
-    idx = np.arange(n0 + 1, dtype=float)
-    if mode == THREE_D:
-        e = 2.0 * idx
-        w = (1.0 + idx) ** 2
-    else:
-        e = idx
-        w = np.ones_like(idx)
-    b = w * np.exp(-e / alpha_bar)
-    z = float(b.sum())
-    mean = float((e * b).sum()) / z
-    var = float(((e - mean) ** 2 * b).sum()) / z
-    return z, mean, var
+    u = (2.0 if mode == THREE_D else 1.0) / alpha_bar
+    x = math.exp(-u)
+    r = -math.expm1(-u)  # 1 - x without cancellation
+    # log(r) loses the x term once r rounds to 1; log1p(-x) cancels near x = 1
+    log_r = math.log(r) if x > 0.5 else math.log1p(-x)
+    mean = x / r
+    var = mean / r
+    if mode == ONE_D:
+        return -log_r, mean, var
+    p = x / (1.0 + x)
+    return math.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
 
 
 def em_sum(f0: float, integral: float, odd_derivatives, k_max: int | None = None) -> float:

@@ -9,10 +9,17 @@ alpha = 1/(beta xi):
     C = 2 alpha d(ln Z)/d(alpha) + alpha^2 d2(ln Z)/d(alpha)^2
 
 U = F + alpha S and C = dU/dalpha are exact consequences of these
-definitions and double as wiring checks.  Derivatives are analytic by
-default: direct sums expose exact moment formulas (U is the mean
-excitation, C its variance over alpha^2), and the Euler-Maclaurin closed
-forms differentiate term by term.  Central differences on ln Z are
+definitions and double as wiring checks.  Two providers of ln Z:
+
+* ``direct`` evaluates the exact infinite ladder in closed form
+  (``partition.ladder_log_z_moments``): ln Z itself, U as the mean
+  excitation and C as its variance over alpha^2, O(1) per point at any
+  temperature.  ``partition_direct`` remains the term-by-term certified
+  reference for it;
+* ``em`` uses the second-order Euler-Maclaurin closed forms, whose
+  derivatives are taken term by term.
+
+Derivatives are analytic by default; central differences on ln Z are
 available as an alternative scheme.
 
 Every function here is a pure per-point computation; sweep points are
@@ -31,10 +38,9 @@ from .partition import (
     ONE_D,
     THREE_D,
     VARIANT_DERIVED,
-    boltzmann_moments,
     em_1d_z_derivatives,
     em_3d_z_derivatives,
-    suggested_cutoff,
+    ladder_log_z_moments,
 )
 
 __all__ = [
@@ -67,34 +73,31 @@ class ThermoPoint:
     method: str
 
 
-def _analytic_z_u_c(alpha_bar, mode, z_method, variant, cutoff):
-    if z_method == "direct":
-        z, mean, var = boltzmann_moments(mode, alpha_bar, cutoff=cutoff)
-        return z, mean, var / alpha_bar ** 2
+def _em_z_derivatives(alpha_bar, mode, variant):
     if mode == THREE_D:
         z, dz, d2z = em_3d_z_derivatives(alpha_bar)
     else:
         z, dz, d2z = em_1d_z_derivatives(alpha_bar, variant)
     if z <= 0.0:
         raise DomainError(f"partition function {z} <= 0 at alpha={alpha_bar}")
+    return z, dz, d2z
+
+
+def _analytic_z_u_c(alpha_bar, mode, z_method, variant):
+    """(Z, ln Z, U, C) from exact derivatives of ln Z."""
+    if z_method == "direct":
+        log_z, mean, var = ladder_log_z_moments(mode, alpha_bar)
+        return math.exp(log_z), log_z, mean, var / alpha_bar ** 2
+    z, dz, d2z = _em_z_derivatives(alpha_bar, mode, variant)
     g1 = dz / z
     g2 = d2z / z - g1 * g1
-    return z, alpha_bar ** 2 * g1, 2.0 * alpha_bar * g1 + alpha_bar ** 2 * g2
+    return z, math.log(z), alpha_bar ** 2 * g1, 2.0 * alpha_bar * g1 + alpha_bar ** 2 * g2
 
 
-def _log_z_fn(mode, z_method, variant, cutoff):
-    def log_z(alpha_bar):
-        if z_method == "direct":
-            z, _, _ = boltzmann_moments(mode, alpha_bar, cutoff=cutoff)
-        elif mode == THREE_D:
-            z = em_3d_z_derivatives(alpha_bar)[0]
-        else:
-            z = em_1d_z_derivatives(alpha_bar, variant)[0]
-        if z <= 0.0:
-            raise DomainError(f"partition function {z} <= 0 at alpha={alpha_bar}")
-        return math.log(z)
-
-    return log_z
+def _log_z(alpha_bar, mode, z_method, variant):
+    if z_method == "direct":
+        return ladder_log_z_moments(mode, alpha_bar)[0]
+    return math.log(_em_z_derivatives(alpha_bar, mode, variant)[0])
 
 
 def thermo_point(
@@ -105,13 +108,8 @@ def thermo_point(
     *,
     variant: str = VARIANT_DERIVED,
     fd_step_rel: float = 1e-5,
-    cutoff: int | None = None,
 ) -> ThermoPoint:
-    """Evaluate Z and (F, U, S, C) at one dimensionless temperature.
-
-    With the central-difference scheme the direct-sum truncation is
-    frozen across the three evaluations so ln Z stays smooth in alpha.
-    """
+    """Evaluate Z and (F, U, S, C) at one dimensionless temperature."""
     if not (math.isfinite(alpha_bar) and alpha_bar > 0.0):
         raise DomainError(f"alpha_bar must be > 0, got {alpha_bar}")
     if z_method not in Z_METHODS:
@@ -120,16 +118,12 @@ def thermo_point(
         raise UsageError(f"derivative_scheme must be one of {DERIVATIVE_SCHEMES}")
 
     if derivative_scheme == "analytic":
-        z, u, c = _analytic_z_u_c(alpha_bar, mode, z_method, variant, cutoff)
-        log_z0 = math.log(z)
+        z, log_z0, u, c = _analytic_z_u_c(alpha_bar, mode, z_method, variant)
     else:
         eta = fd_step_rel * alpha_bar
-        if z_method == "direct" and cutoff is None:
-            cutoff = suggested_cutoff(mode, alpha_bar + eta)
-        log_z = _log_z_fn(mode, z_method, variant, cutoff)
-        g_plus = log_z(alpha_bar + eta)
-        g0 = log_z(alpha_bar)
-        g_minus = log_z(alpha_bar - eta)
+        g_plus = _log_z(alpha_bar + eta, mode, z_method, variant)
+        g0 = _log_z(alpha_bar, mode, z_method, variant)
+        g_minus = _log_z(alpha_bar - eta, mode, z_method, variant)
         g1 = (g_plus - g_minus) / (2.0 * eta)
         g2 = (g_plus - 2.0 * g0 + g_minus) / eta ** 2
         z = math.exp(g0)

@@ -236,6 +236,31 @@ def test_exit_code_io_error(tmp_path):
     assert main(["spectrum", "--out", str(missing_dir)]) == 4
 
 
+@pytest.mark.parametrize(
+    "fields, code",
+    [
+        ({"subcommand": "sweep", "figure": "f9"}, 2),
+        ({"subcommand": "spectrum", "format": "xml"}, 2),
+        ({"subcommand": "spectrum", "n_max": -1}, 3),
+        ({"subcommand": "spectrum", "ell_max": -1}, 3),
+    ],
+)
+def test_bad_manifest_field_exit_code(tmp_path, capsys, fields, code):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(fields))
+    assert main(["--manifest", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_negative_n_max_flag_is_domain_error(capsys):
+    assert main(["spectrum", "--n-max", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

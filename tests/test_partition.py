@@ -14,11 +14,11 @@ from ringosc.partition import (
     VARIANT_DERIVED,
     VARIANT_PAPER,
     PartitionSpec,
-    boltzmann_moments,
     convergence_integral,
     em_bundle_1d,
     em_bundle_3d,
     em_sum,
+    ladder_log_z_moments,
     partition_closed_form_1d,
     partition_direct,
     partition_em,
@@ -99,19 +99,51 @@ def test_spec_validation():
 # ---------------------------------------------------------------- moments
 
 
+def brute_force_moments(mode, alpha, terms=2000):
+    """(Z, mean, variance) of the excitation from the truncated term sum."""
+    n = np.arange(terms, dtype=float)
+    e, w = (2.0 * n, (1.0 + n) ** 2) if mode == THREE_D else (n, np.ones_like(n))
+    b = w * np.exp(-e / alpha)
+    z = b.sum()
+    mean = (e * b).sum() / z
+    return z, mean, ((e - mean) ** 2 * b).sum() / z
+
+
 def test_moments_match_direct_sum():
-    z, mean, var = boltzmann_moments(THREE_D, 2.0)
-    assert z == pytest.approx(closed_form_3d(2.0), rel=1e-13)
-    assert mean > 0.0 and var > 0.0
+    for mode in (THREE_D, ONE_D):
+        for alpha in (0.3, 2.0, 20.0):
+            z, mean, var = brute_force_moments(mode, alpha)
+            log_z, got_mean, got_var = ladder_log_z_moments(mode, alpha)
+            assert math.exp(log_z) == pytest.approx(z, rel=1e-13)
+            assert got_mean == pytest.approx(mean, rel=1e-12)
+            assert got_var == pytest.approx(var, rel=1e-12)
+    assert math.exp(ladder_log_z_moments(THREE_D, 2.0)[0]) == pytest.approx(closed_form_3d(2.0), rel=1e-14)
 
 
 def test_moments_1d_geometric():
     # mean of the geometric ladder: q/(1-q), variance q/(1-q)^2
     alpha = 1.5
     q = math.exp(-1.0 / alpha)
-    z, mean, var = boltzmann_moments(ONE_D, alpha)
+    log_z, mean, var = ladder_log_z_moments(ONE_D, alpha)
+    assert log_z == pytest.approx(-math.log(1.0 - q), rel=1e-14)
     assert mean == pytest.approx(q / (1.0 - q), rel=1e-12)
     assert var == pytest.approx(q / (1.0 - q) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_closed_form_ladder_matches_certified_direct_sum(mode):
+    for alpha in np.geomspace(0.5, 1e3, 40):
+        alpha = float(alpha)
+        direct = partition_direct(PartitionSpec(mode, alpha)).Z
+        closed = math.exp(ladder_log_z_moments(mode, alpha)[0])
+        assert abs(closed - direct) <= 1e-14 * direct
+
+
+def test_closed_form_ladder_validation():
+    with pytest.raises(UsageError):
+        ladder_log_z_moments("2d", 1.0)
+    with pytest.raises(DomainError):
+        ladder_log_z_moments(THREE_D, 0.0)
 
 
 # ------------------------------------------------------------------- em

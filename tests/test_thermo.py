@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -65,6 +66,55 @@ def test_finite_difference_converges_quadratically():
     err_coarse = abs(g1_fd(2e-3) - g1_exact)
     err_fine = abs(g1_fd(1e-3) - g1_exact)
     assert 3.0 < err_coarse / err_fine < 5.0
+
+
+# ------------------------------------------------- exact closed-form ladder
+
+
+def mp_thermal(alpha, mode):
+    """F, U, S, C of the exact ladder: ln Z from (1+x)/(1-x)^3 or 1/(1-x),
+    written with log1p so that no digit of x is lost where 1 - x rounds to 1,
+    and its derivatives by mpmath differentiation in s = ln alpha."""
+    with mp.workdps(50):
+        c = 2 if mode == THREE_D else 1
+
+        def log_z(s):
+            x = mp.exp(-c / mp.exp(s))
+            return mp.log1p(x) - 3 * mp.log1p(-x) if mode == THREE_D else -mp.log1p(-x)
+
+        a, s = mp.mpf(alpha), mp.log(alpha)
+        g, g1, g2 = log_z(s), mp.diff(log_z, s, 1), mp.diff(log_z, s, 2)
+        return {"F_bar": float(-a * g), "U_bar": float(a * g1), "S_bar": float(g + g1), "C_bar": float(g1 + g2)}
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_direct_route_matches_mpmath_reference(mode):
+    for alpha in np.geomspace(1e-2, 1e8, 61):
+        pt = thermo_point(float(alpha), mode=mode, z_method="direct")
+        for name, want in mp_thermal(float(alpha), mode).items():
+            assert getattr(pt, name) == pytest.approx(want, rel=1e-13, abs=0.0), (name, alpha)
+
+
+def test_free_energy_survives_z_rounding_to_one():
+    # Z = 1 + 4 e^-200 rounds to 1.0, yet F = -0.04 e^-200 is representable
+    pt = thermo_point(0.01, mode=THREE_D, z_method="direct")
+    assert pt.Z == 1.0
+    assert pt.F_bar == pytest.approx(-5.5356e-89, rel=1e-4, abs=0.0)
+    assert pt.F_bar == pytest.approx(mp_thermal(0.01, THREE_D)["F_bar"], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_monotonicity_flags_over_wide_range(mode):
+    result = sweep(SweepSpec.from_grid(0.01, 1e6, 500, "log", mode=mode, z_method="direct"))
+    assert all(result.monotonicity.values()), result.monotonicity
+
+
+@pytest.mark.parametrize("mode, cap", [(THREE_D, 3.0), (ONE_D, 1.0)])
+@pytest.mark.parametrize("alpha", [5e6, 1e8])
+def test_direct_route_finite_at_high_temperature(mode, cap, alpha):
+    pt = thermo_point(alpha, mode=mode, z_method="direct")
+    assert all(math.isfinite(v) for v in (pt.Z, pt.F_bar, pt.U_bar, pt.S_bar, pt.C_bar))
+    assert pt.C_bar == pytest.approx(cap, rel=1e-12)
 
 
 # ------------------------------------------------------------ high-T limits
