@@ -50,6 +50,21 @@ FIGURES = {
 PARTITION_METHODS = ("direct", "em", "em-paper", "exact")
 FORMATS = ("csv", "json")
 
+# the JSON types each annotation of RunManifest accepts; bool is an int
+# subclass but never a valid number here
+_FIELD_TYPES = {
+    "float": (int, float),
+    "int": (int,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int | None": (int, type(None)),
+    "tuple": (tuple, list),
+}
+
+
+def _is_a(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -89,6 +104,16 @@ class RunManifest:
     figure: str | None = None
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not _is_a(value, _FIELD_TYPES[field.type]):
+                raise UsageError(f"manifest field {field.name!r} must be of type {field.type}, got {value!r}")
+        if not all(_is_a(a, (int, float)) for a in self.alphas):
+            raise UsageError(f"manifest field 'alphas' must hold numbers, got {list(self.alphas)!r}")
+        if not all(_is_a(m, (str,)) for m in self.methods):
+            raise UsageError(f"manifest field 'methods' must hold strings, got {list(self.methods)!r}")
+        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "methods", tuple(self.methods))
         if self.figure is not None and self.figure not in FIGURES:
             raise UsageError(f"unknown figure {self.figure!r}; expected one of {tuple(FIGURES)}")
         if self.format not in FORMATS:
@@ -104,21 +129,24 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
+        if not isinstance(data, dict):
+            raise UsageError(f"a manifest must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise UsageError(f"unknown manifest fields: {sorted(unknown)}")
-        coerced = dict(data)
-        if "alphas" in coerced:
-            coerced["alphas"] = tuple(float(a) for a in coerced["alphas"])
-        if "methods" in coerced:
-            coerced["methods"] = tuple(coerced["methods"])
-        return cls(**coerced)
+        if "subcommand" not in data:
+            raise UsageError("manifest field 'subcommand' is required")
+        return cls(**data)
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"manifest {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

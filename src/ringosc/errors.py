@@ -2,7 +2,15 @@
 
 
 class DomainError(ValueError):
-    """Inputs lie outside the mathematical domain of an operation."""
+    """Inputs lie outside the mathematical domain of an operation.
+
+    ``index`` is the position of the offending element when the operation
+    ran over an array of inputs, else None.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class BranchError(DomainError):

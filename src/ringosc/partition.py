@@ -4,7 +4,8 @@ Routes to Z, all in the dimensionless temperature alpha = 1/(beta xi):
 
 * ``ladder_log_z_moments`` evaluates the exact infinite ladder in closed
   form: ln Z and the mean and variance of the excitation, O(1) per
-  temperature.  This is the ``direct`` route of the thermal functions;
+  temperature, at one alpha or elementwise over an array of them.  This
+  is the ``direct`` route of the thermal functions;
 * ``partition_direct`` sums the Boltzmann series term by term and
   certifies the truncation with an explicit closed-form tail bound, so
   it serves as the reference for every closed form;
@@ -69,8 +70,13 @@ def _check_mode(mode: str) -> None:
         raise UsageError(f"mode must be {THREE_D!r} or {ONE_D!r}, got {mode!r}")
 
 
-def _check_alpha(alpha_bar: float) -> None:
-    if not (math.isfinite(alpha_bar) and alpha_bar > 0.0):
+def _check_alpha(alpha_bar) -> None:
+    """alpha_bar, a float or an array of them, must be finite and > 0."""
+    if isinstance(alpha_bar, np.ndarray):
+        bad = ~((alpha_bar > 0.0) & (alpha_bar < math.inf))
+        if bad.any():
+            raise DomainError(f"alpha_bar must be > 0, got {alpha_bar[bad][0]}")
+    elif not (math.isfinite(alpha_bar) and alpha_bar > 0.0):
         raise DomainError(f"alpha_bar must be > 0, got {alpha_bar}")
 
 
@@ -198,9 +204,10 @@ def partition_closed_form_1d(alpha_bar: float) -> PartitionValue:
     return PartitionValue(Z=1.0 / -math.expm1(-1.0 / alpha_bar), method="closed_form_exact")
 
 
-def ladder_log_z_moments(mode: str, alpha_bar: float) -> tuple[float, float, float]:
+def ladder_log_z_moments(mode: str, alpha_bar):
     """(ln Z, mean, variance) of the excitation e = (E - E0)/xi over the
-    exact infinite ladder, in closed form.
+    exact infinite ladder, in closed form, at one alpha or elementwise over
+    an array of them.
 
     With x = e^(-c/alpha), c = 2 (3d) or 1 (1d), and L = log(1 - x):
 
@@ -215,16 +222,17 @@ def ladder_log_z_moments(mode: str, alpha_bar: float) -> tuple[float, float, flo
     _check_mode(mode)
     _check_alpha(alpha_bar)
     u = (2.0 if mode == THREE_D else 1.0) / alpha_bar
-    x = math.exp(-u)
-    r = -math.expm1(-u)  # 1 - x without cancellation
-    # log(r) loses the x term once r rounds to 1; log1p(-x) cancels near x = 1
-    log_r = math.log(r) if x > 0.5 else math.log1p(-x)
+    x = np.exp(-u)
+    r = -np.expm1(-u)  # 1 - x without cancellation
+    # log(r) loses the x term once r rounds to 1; log1p(-x) cancels near x = 1.
+    # [()] turns the 0-d result of a scalar alpha back into a scalar.
+    log_r = np.where(x > 0.5, np.log(r), np.log1p(-np.minimum(x, 0.5)))[()]
     mean = x / r
     var = mean / r
     if mode == ONE_D:
         return -log_r, mean, var
     p = x / (1.0 + x)
-    return math.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
+    return np.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
 
 
 def em_sum(f0: float, integral: float, odd_derivatives, k_max: int | None = None) -> float:
@@ -364,37 +372,46 @@ def convergence_integral(beta_xi: float) -> float:
     return (1.0 + 2.0 * u * (1.0 + u)) * math.exp(-3.0 * u) / (4.0 * u ** 3)
 
 
-def em_3d_z_derivatives(alpha_bar: float) -> tuple[float, float, float]:
-    """(Z, dZ/dalpha, d2Z/dalpha2) of the 3d closed form.
+def em_3d_z_derivatives(alpha_bar):
+    """(Z, dZ/dalpha, d2Z/dalpha2) of the 3d closed form, at one alpha or
+    elementwise over an array of them.
 
     Differentiated term by term from the expanded representation
     Z = a^3/4 + a^2/2 + a/2 + 1/3 + 3/(20a) + 1/(30a^2) - 1/(90a^3).
     """
     _check_alpha(alpha_bar)
+    # powers as products: numpy's array power rounds differently from the
+    # scalar one, and a point must match the same alpha inside a sweep
     a = alpha_bar
-    z = a ** 3 / 4.0 + a ** 2 / 2.0 + a / 2.0 + 1.0 / 3.0 + 3.0 / (20.0 * a) + 1.0 / (30.0 * a ** 2) - 1.0 / (90.0 * a ** 3)
-    dz = 0.75 * a ** 2 + a + 0.5 - 3.0 / (20.0 * a ** 2) - 1.0 / (15.0 * a ** 3) + 1.0 / (30.0 * a ** 4)
-    d2z = 1.5 * a + 1.0 + 3.0 / (10.0 * a ** 3) + 1.0 / (5.0 * a ** 4) - 2.0 / (15.0 * a ** 5)
+    a2 = a * a
+    a3 = a2 * a
+    a4 = a2 * a2
+    z = a3 / 4.0 + a2 / 2.0 + a / 2.0 + 1.0 / 3.0 + 3.0 / (20.0 * a) + 1.0 / (30.0 * a2) - 1.0 / (90.0 * a3)
+    dz = 0.75 * a2 + a + 0.5 - 3.0 / (20.0 * a2) - 1.0 / (15.0 * a3) + 1.0 / (30.0 * a4)
+    d2z = 1.5 * a + 1.0 + 3.0 / (10.0 * a3) + 1.0 / (5.0 * a4) - 2.0 / (15.0 * a4 * a)
     return z, dz, d2z
 
 
-def em_1d_z_derivatives(alpha_bar: float, variant: str = VARIANT_DERIVED) -> tuple[float, float, float]:
-    """(Z, dZ/dalpha, d2Z/dalpha2) of the selected 1d closed form."""
+def em_1d_z_derivatives(alpha_bar, variant: str = VARIANT_DERIVED):
+    """(Z, dZ/dalpha, d2Z/dalpha2) of the selected 1d closed form, at one
+    alpha or elementwise over an array of them."""
     _check_alpha(alpha_bar)
     a = alpha_bar
+    a2 = a * a
+    a3 = a2 * a
     base = 0.5 + a + 1.0 / (12.0 * a)
-    dbase = 1.0 - 1.0 / (12.0 * a ** 2)
-    d2base = 1.0 / (6.0 * a ** 3)
+    dbase = 1.0 - 1.0 / (12.0 * a2)
+    d2base = 1.0 / (6.0 * a3)
     if variant == VARIANT_DERIVED:
         return (
-            base - 1.0 / (720.0 * a ** 3),
-            dbase + 1.0 / (240.0 * a ** 4),
-            d2base - 1.0 / (60.0 * a ** 5),
+            base - 1.0 / (720.0 * a3),
+            dbase + 1.0 / (240.0 * a2 * a2),
+            d2base - 1.0 / (60.0 * a3 * a2),
         )
     if variant == VARIANT_PAPER:
         return (
-            base - a ** 3 / 5400.0,
-            dbase - a ** 2 / 1800.0,
+            base - a3 / 5400.0,
+            dbase - a2 / 1800.0,
             d2base - a / 900.0,
         )
     raise UsageError(f"variant must be 'derived' or 'paper', got {variant!r}")

@@ -22,14 +22,18 @@ definitions and double as wiring checks.  Two providers of ln Z:
 Derivatives are analytic by default; central differences on ln Z are
 available as an alternative scheme.
 
-Every function here is a pure per-point computation; sweep points are
-independent and emitted in grid order.
+One array kernel evaluates every quantity elementwise over a whole grid of
+alphas: ``sweep`` calls it once per grid and ``thermo_point`` calls it with
+its single alpha, so a point and the matching sweep point agree bit for
+bit.  Sweep points are emitted in grid order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,12 +60,12 @@ __all__ = [
     "high_t_asymptotics",
 ]
 
+MODES = (THREE_D, ONE_D)
 Z_METHODS = ("direct", "em")
 DERIVATIVE_SCHEMES = ("analytic", "central_difference")
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     """One temperature point: Z and the four dimensionless quantities."""
 
     alpha_bar: float
@@ -73,31 +77,57 @@ class ThermoPoint:
     method: str
 
 
-def _em_z_derivatives(alpha_bar, mode, variant):
+def _check_options(mode, z_method, derivative_scheme):
+    if mode not in MODES:
+        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+    if z_method not in Z_METHODS:
+        raise UsageError(f"z_method must be one of {Z_METHODS}, got {z_method!r}")
+    if derivative_scheme not in DERIVATIVE_SCHEMES:
+        raise UsageError(f"derivative_scheme must be one of {DERIVATIVE_SCHEMES}")
+
+
+def _em_z_derivatives(alphas, mode, variant):
+    """(Z, dZ, d2Z) of the Euler-Maclaurin form at each entry of ``alphas``.
+
+    The entries (floats, or arrays over one grid) are the evaluations every
+    grid point needs, in the order a point-by-point evaluation makes them,
+    so a non-positive Z is reported at the first grid index and, within
+    it, at the alpha where that evaluation fails first.
+    """
     if mode == THREE_D:
-        z, dz, d2z = em_3d_z_derivatives(alpha_bar)
+        bundles = [em_3d_z_derivatives(x) for x in alphas]
     else:
-        z, dz, d2z = em_1d_z_derivatives(alpha_bar, variant)
-    if z <= 0.0:
-        raise DomainError(f"partition function {z} <= 0 at alpha={alpha_bar}")
-    return z, dz, d2z
+        bundles = [em_1d_z_derivatives(x, variant) for x in alphas]
+    if any(np.any(z <= 0.0) for z, _, _ in bundles):
+        zs = np.stack([np.atleast_1d(z) for z, _, _ in bundles], axis=1)
+        i, k = divmod(int(np.argmax(zs <= 0.0)), len(alphas))
+        alpha = np.atleast_1d(alphas[k])[i]
+        raise DomainError(f"partition function {float(zs[i, k])} <= 0 at alpha={float(alpha)}", index=i)
+    return bundles
 
 
-def _analytic_z_u_c(alpha_bar, mode, z_method, variant):
-    """(Z, ln Z, U, C) from exact derivatives of ln Z."""
-    if z_method == "direct":
-        log_z, mean, var = ladder_log_z_moments(mode, alpha_bar)
-        return math.exp(log_z), log_z, mean, var / alpha_bar ** 2
-    z, dz, d2z = _em_z_derivatives(alpha_bar, mode, variant)
-    g1 = dz / z
-    g2 = d2z / z - g1 * g1
-    return z, math.log(z), alpha_bar ** 2 * g1, 2.0 * alpha_bar * g1 + alpha_bar ** 2 * g2
-
-
-def _log_z(alpha_bar, mode, z_method, variant):
-    if z_method == "direct":
-        return ladder_log_z_moments(mode, alpha_bar)[0]
-    return math.log(_em_z_derivatives(alpha_bar, mode, variant)[0])
+def _thermo_arrays(a, mode, z_method, derivative_scheme, variant, fd_step_rel):
+    """(Z, F, U, S, C) elementwise at a, one alpha or a 1-d array of them."""
+    if derivative_scheme == "analytic":
+        if z_method == "direct":
+            log_z, u, var = ladder_log_z_moments(mode, a)
+            z, c = np.exp(log_z), var / (a * a)
+        else:
+            ((z, dz, d2z),) = _em_z_derivatives((a,), mode, variant)
+            g1 = dz / z
+            g2 = d2z / z - g1 * g1
+            log_z, u, c = np.log(z), a * a * g1, 2.0 * a * g1 + a * a * g2
+    else:
+        eta = fd_step_rel * a
+        shifted = (a + eta, a, a - eta)
+        if z_method == "direct":
+            g_plus, log_z, g_minus = (ladder_log_z_moments(mode, x)[0] for x in shifted)
+        else:
+            g_plus, log_z, g_minus = (np.log(z) for z, _, _ in _em_z_derivatives(shifted, mode, variant))
+        g1 = (g_plus - g_minus) / (2.0 * eta)
+        g2 = (g_plus - 2.0 * log_z + g_minus) / (eta * eta)
+        z, u, c = np.exp(log_z), a * a * g1, 2.0 * a * g1 + a * a * g2
+    return z, -a * log_z, u, log_z + u / a, c
 
 
 def thermo_point(
@@ -112,28 +142,10 @@ def thermo_point(
     """Evaluate Z and (F, U, S, C) at one dimensionless temperature."""
     if not (math.isfinite(alpha_bar) and alpha_bar > 0.0):
         raise DomainError(f"alpha_bar must be > 0, got {alpha_bar}")
-    if z_method not in Z_METHODS:
-        raise UsageError(f"z_method must be one of {Z_METHODS}, got {z_method!r}")
-    if derivative_scheme not in DERIVATIVE_SCHEMES:
-        raise UsageError(f"derivative_scheme must be one of {DERIVATIVE_SCHEMES}")
-
-    if derivative_scheme == "analytic":
-        z, log_z0, u, c = _analytic_z_u_c(alpha_bar, mode, z_method, variant)
-    else:
-        eta = fd_step_rel * alpha_bar
-        g_plus = _log_z(alpha_bar + eta, mode, z_method, variant)
-        g0 = _log_z(alpha_bar, mode, z_method, variant)
-        g_minus = _log_z(alpha_bar - eta, mode, z_method, variant)
-        g1 = (g_plus - g_minus) / (2.0 * eta)
-        g2 = (g_plus - 2.0 * g0 + g_minus) / eta ** 2
-        z = math.exp(g0)
-        log_z0 = g0
-        u = alpha_bar ** 2 * g1
-        c = 2.0 * alpha_bar * g1 + alpha_bar ** 2 * g2
-
-    f = -alpha_bar * log_z0
-    s = log_z0 + u / alpha_bar
-    return ThermoPoint(alpha_bar, z, f, u, s, c, method=z_method)
+    _check_options(mode, z_method, derivative_scheme)
+    a = float(alpha_bar)
+    values = _thermo_arrays(a, mode, z_method, derivative_scheme, variant, fd_step_rel)
+    return ThermoPoint(a, *map(float, values), z_method)
 
 
 @dataclass(frozen=True)
@@ -156,6 +168,7 @@ class SweepSpec:
             raise DomainError("alpha grid must be strictly increasing")
         if not 1e-8 < self.fd_step_rel < 1e-2:
             raise DomainError(f"fd_step_rel must lie in (1e-8, 1e-2), got {self.fd_step_rel}")
+        _check_options(self.mode, self.z_method, self.derivative_scheme)
 
     @staticmethod
     def from_grid(alpha_min, alpha_max, points, spacing="log", **kwargs) -> "SweepSpec":
@@ -189,34 +202,23 @@ def sweep(spec: SweepSpec) -> SweepResult:
     consecutive pair), matching what a plotted curve can show.  A failing
     point aborts the sweep and reports its grid index.
     """
-    points = []
-    for i, a in enumerate(spec.alphas):
-        try:
-            points.append(
-                thermo_point(
-                    a,
-                    mode=spec.mode,
-                    z_method=spec.z_method,
-                    derivative_scheme=spec.derivative_scheme,
-                    variant=spec.variant,
-                    fd_step_rel=spec.fd_step_rel,
-                )
-            )
-        except Exception as exc:
-            raise SweepError(f"sweep failed at grid index {i} (alpha={a}): {exc}", index=i) from exc
-
-    def pairs(attr):
-        vals = [getattr(pt, attr) for pt in points]
-        return list(zip(vals, vals[1:]))
-
+    a = np.array(spec.alphas)
+    try:
+        arrays = _thermo_arrays(a, spec.mode, spec.z_method, spec.derivative_scheme, spec.variant, spec.fd_step_rel)
+    except DomainError as exc:
+        i = exc.index
+        raise SweepError(f"sweep failed at grid index {i} (alpha={spec.alphas[i]}): {exc}", index=i) from exc
+    _, f, u, s, c = arrays
     slack = 1e-12
     monotonicity = {
-        "F_bar_strictly_decreasing": all(b < a for a, b in pairs("F_bar")),
-        "U_bar_strictly_increasing": all(b > a for a, b in pairs("U_bar")),
-        "S_bar_strictly_increasing": all(b > a for a, b in pairs("S_bar")),
-        "C_bar_non_decreasing": all(b >= a - slack for a, b in pairs("C_bar")),
+        "F_bar_strictly_decreasing": bool(np.all(f[1:] < f[:-1])),
+        "U_bar_strictly_increasing": bool(np.all(u[1:] > u[:-1])),
+        "S_bar_strictly_increasing": bool(np.all(s[1:] > s[:-1])),
+        "C_bar_non_decreasing": bool(np.all(c[1:] >= c[:-1] - slack)),
     }
-    return SweepResult(points=tuple(points), monotonicity=monotonicity)
+    rows = zip(spec.alphas, *(v.tolist() for v in arrays), repeat(spec.z_method))
+    points = tuple(map(ThermoPoint._make, rows))
+    return SweepResult(points=points, monotonicity=monotonicity)
 
 
 @dataclass(frozen=True)
@@ -235,11 +237,13 @@ class ContinuityReport:
 def scan_jumps(alphas, cbar, jump_threshold: float = 10.0, slope_floor: float = 1e-9) -> ContinuityReport:
     """Flag single-step jumps in C(alpha) against the local slope.
 
-    Each discrete slope |dC|/dalpha is compared with the mean of its
-    neighbours: a smooth curve gives ratios near one, while a genuine
-    discontinuity concentrates in one step and sends its ratio orders of
-    magnitude up.  ``passed`` means no step exceeded jump_threshold times
-    its neighbourhood, i.e. no first-order-transition signature.
+    Each discrete slope |dC|/dalpha with a neighbour on each side is
+    compared with the mean of those two neighbours: a smooth curve gives
+    ratios near one, while a genuine discontinuity concentrates in one step
+    and sends its ratio orders of magnitude up.  The first and last steps
+    are not judged, because their one neighbour differs through curvature
+    alone.  ``passed`` means no step exceeded jump_threshold times its
+    neighbourhood, i.e. no first-order-transition signature.
     """
     alphas = np.asarray(alphas, dtype=float)
     cbar = np.asarray(cbar, dtype=float)
@@ -249,24 +253,16 @@ def scan_jumps(alphas, cbar, jump_threshold: float = 10.0, slope_floor: float = 
         return ContinuityReport(0.0, 0.0, 0.0, 0, float(alphas[0]) if alphas.size else 0.0, jump_threshold, True)
     jumps = np.abs(np.diff(cbar))
     slopes = jumps / np.diff(alphas)
-    max_ratio = 0.0
-    max_index = 0
-    for i in range(slopes.size):
-        neighbours = []
-        if i > 0:
-            neighbours.append(slopes[i - 1])
-        if i + 1 < slopes.size:
-            neighbours.append(slopes[i + 1])
-        reference = max(float(np.mean(neighbours)), slope_floor)
-        ratio = slopes[i] / reference
-        if ratio > max_ratio:
-            max_ratio = ratio
-            max_index = i
+    ratios = np.zeros_like(slopes)
+    ratios[1:-1] = slopes[1:-1] / np.maximum(0.5 * (slopes[:-2] + slopes[2:]), slope_floor)
+    ratios[np.isnan(ratios)] = 0.0  # a NaN ratio is not judged
+    max_index = int(np.argmax(ratios))
+    max_ratio = float(ratios[max_index])
     k = int(np.argmax(jumps))
     return ContinuityReport(
         max_jump=float(jumps[k]),
         max_slope=float(slopes.max()),
-        max_ratio=float(max_ratio),
+        max_ratio=max_ratio,
         index=max_index,
         alpha_at_max=float(alphas[max_index]),
         threshold=jump_threshold,

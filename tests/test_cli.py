@@ -128,6 +128,20 @@ def test_sweep_figure_f5_one_dimensional_panel(tmp_path):
     assert abs(float(rows[-1][4]) - 1.0) < 1e-2  # 1d specific-heat limit
 
 
+def test_sweep_coarse_lin_grid_reports_no_jump(tmp_path, capsys):
+    # the first step of this grid has one neighbour while C saturates; judged
+    # against it alone, its ratio read 15.8 and the smooth curve was flagged
+    out = tmp_path / "f1.csv"
+    rc = main(
+        ["sweep", "--figure", "f1", "--alpha-min", "0.6519616701961058", "--alpha-max", "177.95875539849249",
+         "--points", "179", "--spacing", "lin", "--out", str(out)]
+    )
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "no first-order transition signature" in err
+    assert "max jump ratio 0.998 " in err
+
+
 def test_sweep_single_point_skips_summary(tmp_path, capsys):
     out = tmp_path / "one.csv"
     rc = main(["sweep", "--alpha-min", "2", "--alpha-max", "2", "--points", "1", "--out", str(out)])
@@ -243,6 +257,11 @@ def test_exit_code_io_error(tmp_path):
         ({"subcommand": "spectrum", "format": "xml"}, 2),
         ({"subcommand": "spectrum", "n_max": -1}, 3),
         ({"subcommand": "spectrum", "ell_max": -1}, 3),
+        ({"subcommand": "partition", "alphas": ["x"]}, 2),
+        ({"subcommand": "sweep", "points": "10"}, 2),
+        ({"subcommand": "sweep", "points": 2.5}, 2),
+        ({"subcommand": "sweep", "alpha_min": "1"}, 2),
+        ({"figure": "f1"}, 2),
     ],
 )
 def test_bad_manifest_field_exit_code(tmp_path, capsys, fields, code):
@@ -252,6 +271,22 @@ def test_bad_manifest_field_exit_code(tmp_path, capsys, fields, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "a manifest must be a JSON object, got list"),
+        ('{"subcommand": ', "is not valid JSON"),
+    ],
+)
+def test_manifest_that_is_no_json_object_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert main(["--manifest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_negative_n_max_flag_is_domain_error(capsys):

@@ -15,6 +15,8 @@ from ringosc.partition import (
     VARIANT_PAPER,
     PartitionSpec,
     convergence_integral,
+    em_1d_z_derivatives,
+    em_3d_z_derivatives,
     em_bundle_1d,
     em_bundle_3d,
     em_sum,
@@ -144,6 +146,32 @@ def test_closed_form_ladder_validation():
         ladder_log_z_moments("2d", 1.0)
     with pytest.raises(DomainError):
         ladder_log_z_moments(THREE_D, 0.0)
+
+
+KERNELS = {
+    "ladder_3d": lambda a: ladder_log_z_moments(THREE_D, a),
+    "ladder_1d": lambda a: ladder_log_z_moments(ONE_D, a),
+    "em_3d": em_3d_z_derivatives,
+    "em_1d": em_1d_z_derivatives,
+    "em_1d_paper": lambda a: em_1d_z_derivatives(a, VARIANT_PAPER),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_kernels_on_arrays_equal_scalar_calls(kernel):
+    # both log branches of the ladder (x > 0.5 from alpha ~ 1.44 in 3d) and
+    # the underflow of x below alpha ~ 2.7e-3 lie on the grid
+    grid = np.geomspace(1e-3, 1e8, 500)
+    columns = kernel(grid)
+    for i, a in enumerate(grid.tolist()):
+        assert tuple(col[i] for col in columns) == tuple(kernel(a))
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_kernels_reject_a_bad_array_element(kernel, bad):
+    with pytest.raises(DomainError, match="alpha_bar must be > 0"):
+        kernel(np.array([1.0, bad, 2.0]))
 
 
 # ------------------------------------------------------------------- em

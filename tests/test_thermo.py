@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from ringosc.errors import DomainError, SweepError, UsageError
-from ringosc.partition import ONE_D, THREE_D, VARIANT_PAPER, em_3d_z_derivatives
+from ringosc.partition import ONE_D, THREE_D, VARIANT_PAPER, em_1d_z_derivatives, em_3d_z_derivatives
 from ringosc.thermo import (
     SweepSpec,
+    ThermoPoint,
     continuity_scan,
     high_t_asymptotics,
     scan_jumps,
@@ -115,6 +116,129 @@ def test_direct_route_finite_at_high_temperature(mode, cap, alpha):
     pt = thermo_point(alpha, mode=mode, z_method="direct")
     assert all(math.isfinite(v) for v in (pt.Z, pt.F_bar, pt.U_bar, pt.S_bar, pt.C_bar))
     assert pt.C_bar == pytest.approx(cap, rel=1e-12)
+
+
+# ------------------------------------------------- the per-point loop as reference
+
+
+def loop_point(a, mode, z_method, scheme, lib, fd_step_rel=1e-5):
+    """One point by the per-point formulas that the array kernel replaced,
+    with exp, expm1, log and log1p taken from lib: math, or numpy, whose
+    scalar functions round exactly as its array functions do."""
+
+    def ladder(a):
+        u = (2.0 if mode == THREE_D else 1.0) / a
+        x, r = lib.exp(-u), -lib.expm1(-u)
+        log_r = lib.log(r) if x > 0.5 else lib.log1p(-x)
+        mean = x / r
+        var = mean / r
+        if mode == ONE_D:
+            return -log_r, mean, var
+        p = x / (1.0 + x)
+        return lib.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
+
+    def em(a):
+        return em_3d_z_derivatives(a) if mode == THREE_D else em_1d_z_derivatives(a)
+
+    def log_z(a):
+        return ladder(a)[0] if z_method == "direct" else lib.log(em(a)[0])
+
+    if scheme == "analytic":
+        if z_method == "direct":
+            lz, u, var = ladder(a)
+            z, c = lib.exp(lz), var / (a * a)
+        else:
+            z, dz, d2z = em(a)
+            g1 = dz / z
+            g2 = d2z / z - g1 * g1
+            lz, u, c = lib.log(z), a * a * g1, 2.0 * a * g1 + a * a * g2
+    else:
+        eta = fd_step_rel * a
+        g_plus, lz, g_minus = log_z(a + eta), log_z(a), log_z(a - eta)
+        g1 = (g_plus - g_minus) / (2.0 * eta)
+        g2 = (g_plus - 2.0 * lz + g_minus) / (eta * eta)
+        z, u, c = lib.exp(lz), a * a * g1, 2.0 * a * g1 + a * a * g2
+    return ThermoPoint(a, float(z), float(-a * lz), float(u), float(lz + u / a), float(c), z_method)
+
+
+def reference_grid(z_method):
+    # the 3d Euler-Maclaurin Z is <= 0 below alpha ~ 0.16, where sweeps abort
+    grid = np.geomspace(1e-3, 1e8, 2000)
+    return tuple((grid[grid >= 0.2] if z_method == "em" else grid).tolist())
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+@pytest.mark.parametrize("z_method", ["direct", "em"])
+@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+def test_sweep_equals_point_loop(mode, z_method, scheme):
+    grid = reference_grid(z_method)
+    result = sweep(SweepSpec(grid, mode=mode, z_method=z_method, derivative_scheme=scheme))
+    assert result.points == tuple(loop_point(a, mode, z_method, scheme, np) for a in grid)
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+@pytest.mark.parametrize("z_method", ["direct", "em"])
+def test_sweep_within_ulps_of_math_loop(mode, z_method):
+    # numpy's exp, expm1, log and log1p may each differ from libm's by one
+    # ulp; a field passes through at most three of them and a few roundings,
+    # so 8 ulp, and Z = exp(ln Z) turns an error of ln Z into a relative one
+    # |ln Z| times larger.  Central differences are left to the exact test
+    # above: their quotients turn one ulp of ln Z into up to 1e11 ulp of C.
+    grid = reference_grid(z_method)
+    for pt in sweep(SweepSpec(grid, mode=mode, z_method=z_method)).points:
+        ref = loop_point(pt.alpha_bar, mode, z_method, "analytic", math)
+        for name in ("Z", "F_bar", "U_bar", "S_bar", "C_bar"):
+            got, want = getattr(pt, name), getattr(ref, name)
+            scale = max(1.0, abs(math.log(want))) if name == "Z" else 1.0
+            assert abs(got - want) <= 8 * scale * math.ulp(want), (name, pt.alpha_bar, got, want)
+
+
+SWEEP_CASES = {
+    # below alpha ~ 2.7e-3 (3d) and 1.3e-3 (1d) x underflows: F, U and S are
+    # flat zeros there, so their strict flags are False
+    "direct_3d_wide": dict(alphas=reference_grid("direct")),
+    "direct_1d_wide": dict(alphas=reference_grid("direct"), mode=ONE_D),
+    # C from second differences is noisy above alpha ~ 6, so its flag is False
+    "central_3d": dict(alphas=tuple(np.geomspace(0.25, 31.0, 40).tolist()), derivative_scheme="central_difference"),
+    # the alternate 1d tail bends U and S down towards alpha ~ 70
+    "em_1d_paper": dict(alphas=tuple(np.linspace(0.5, 70.0, 300).tolist()), mode=ONE_D, z_method="em",
+                        variant=VARIANT_PAPER),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
+def test_monotonicity_flags_equal_pairwise_comparisons(case):
+    result = sweep(SweepSpec(**case))
+
+    def pairs(attr):
+        values = [getattr(pt, attr) for pt in result.points]
+        return list(zip(values, values[1:]))
+
+    assert result.monotonicity == {
+        "F_bar_strictly_decreasing": all(b < a for a, b in pairs("F_bar")),
+        "U_bar_strictly_increasing": all(b > a for a, b in pairs("U_bar")),
+        "S_bar_strictly_increasing": all(b > a for a, b in pairs("S_bar")),
+        "C_bar_non_decreasing": all(b >= a - 1e-12 for a, b in pairs("C_bar")),
+    }
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+@pytest.mark.parametrize("z_method", ["direct", "em"])
+@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+def test_point_equals_sweep_point(mode, z_method, scheme):
+    options = dict(mode=mode, z_method=z_method, derivative_scheme=scheme)
+    grid = reference_grid("em")[::50]
+    inside = sweep(SweepSpec(grid, **options)).points
+    for a, in_grid in zip(grid, inside):
+        pt = thermo_point(a, **options)
+        assert pt == sweep(SweepSpec((a,), **options)).points[0] == in_grid
+        assert all(type(v) is float for v in pt[:6])
+
+
+def test_thermo_point_keeps_fields_and_repr():
+    pt = thermo_point(1.0)
+    assert pt._fields == ("alpha_bar", "Z", "F_bar", "U_bar", "S_bar", "C_bar", "method")
+    assert repr(pt) == "ThermoPoint(" + ", ".join(f"{k}={v!r}" for k, v in pt._asdict().items()) + ")"
 
 
 # ------------------------------------------------------------ high-T limits
