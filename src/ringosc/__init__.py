@@ -3,9 +3,9 @@ with angular barrier terms, V = a1^2 r^2 + (a2^2/sin^2 t + a3^2 cot^2 t)/r^2.
 
 The spectrum comes out of the parametric Nikiforov-Uvarov template
 (`nu_solver`, `spectrum`), the partition function out of the exact
-closed-form ladders, certified direct sums and Euler-Maclaurin closed
-forms (`partition`), and the thermal functions F, U, S, C out of ln Z
-and its alpha-derivatives (`thermo`).
+closed-form ladders, certified direct sums and a table of Euler-Maclaurin
+coefficients (`partition`), and the thermal functions F, U, S, C out of
+ln Z and its alpha-derivatives (`thermo`).
 `cli` wraps it all in a deterministic command-line tool.
 """
 
@@ -29,14 +29,12 @@ from .partition import (
     PartitionSpec,
     PartitionValue,
     convergence_integral,
-    em_sum,
+    em_coefficients,
+    em_z_derivatives,
     ladder_log_z_moments,
     partition_closed_form_1d,
     partition_direct,
     partition_em,
-    partition_em_1d,
-    partition_em_3d,
-    partition_em_3d_fraction,
     suggested_cutoff,
 )
 from .specfun import (

@@ -31,8 +31,6 @@ from .partition import (
     partition_closed_form_1d,
     partition_direct,
     partition_em,
-    partition_em_1d,
-    partition_em_3d,
 )
 from .spectrum import PotentialParams, angular_solution, energy_special_case, level
 from .thermo import SweepSpec, continuity_scan, sweep
@@ -284,15 +282,10 @@ def _partition_value(method: str, manifest: RunManifest, alpha: float):
     if method == "direct":
         return partition_direct(spec)
     if method == "em":
-        if manifest.em_order != 2:
-            return partition_em(spec)
-        if manifest.mode == THREE_D:
-            return partition_em_3d(alpha)
-        return partition_em_1d(alpha, manifest.variant)
+        return partition_em(spec)
     if method == "em-paper":
-        if manifest.mode != ONE_D:
-            raise UsageError("method 'em-paper' applies to the 1d ladder only")
-        return partition_em_1d(alpha, VARIANT_PAPER)
+        # the alternate form exists for the 1d ladder at order 2 only
+        return partition_em(dataclasses.replace(spec, em_order=2, variant=VARIANT_PAPER))
     if method == "exact":
         if manifest.mode != ONE_D:
             raise UsageError("method 'exact' (geometric closed form) applies to the 1d ladder only")

@@ -9,10 +9,10 @@ Routes to Z, all in the dimensionless temperature alpha = 1/(beta xi):
 * ``partition_direct`` sums the Boltzmann series term by term and
   certifies the truncation with an explicit closed-form tail bound, so
   it serves as the reference for every closed form;
-* ``partition_em_3d`` / ``partition_em_1d`` evaluate the second-order
-  Euler-Maclaurin closed forms;
-* ``em_sum`` plus the derivative bundles assemble the Euler-Maclaurin
-  approximant at any order the Bernoulli table covers.
+* ``em_coefficients`` is the Euler-Maclaurin approximant, at any order the
+  Bernoulli table covers, as one exact table of rational coefficients of
+  powers of alpha; ``partition_em`` evaluates it and ``em_z_derivatives``
+  gives Z, dZ and d2Z at order 2, over an array too, or exactly at a Fraction.
 
 The ground-state energy is subtracted inside the series, so both ladders
 start at a bare 1 and Z(alpha -> 0+) = 1:
@@ -27,9 +27,12 @@ also exposed as ``partition_closed_form_1d``.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,14 +48,9 @@ __all__ = [
     "partition_closed_form_1d",
     "suggested_cutoff",
     "ladder_log_z_moments",
-    "em_sum",
-    "em_bundle_3d",
-    "em_bundle_1d",
+    "em_coefficients",
+    "em_z_derivatives",
     "partition_em",
-    "partition_em_3d",
-    "partition_em_3d_fraction",
-    "partition_em_1d",
-    "partition_em_1d_fraction",
     "convergence_integral",
     "VARIANT_DERIVED",
     "VARIANT_PAPER",
@@ -86,7 +84,7 @@ class PartitionSpec:
 
     ``cutoff`` of None means auto-select the smallest truncation whose
     tail bound certifies ``tail_rtol`` relative accuracy.  ``variant``
-    only matters for the 1d closed form (see ``partition_em_1d``).
+    only matters for the 1d closed form (see ``em_coefficients``).
     """
 
     mode: str
@@ -235,125 +233,97 @@ def ladder_log_z_moments(mode: str, alpha_bar):
     return np.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
 
 
-def em_sum(f0: float, integral: float, odd_derivatives, k_max: int | None = None) -> float:
-    """Euler-Maclaurin approximant of sum_{m>=0} f(m):
+@functools.cache
+def em_coefficients(mode: str, order: int = 2, variant: str = VARIANT_DERIVED):
+    """The order-K Euler-Maclaurin approximant of Z as a Laurent polynomial
+    in alpha: a read-only ``{power of alpha: Fraction}``, cached, never rebuilt per call.
 
-        f(0)/2 + integral_0^inf f - sum_{k=1}^{k_max} B_2k/(2k)! f^(2k-1)(0).
+    With f(x) = w(x) e^(-c x/alpha), w = (1+x)^2 and c = 2 (3d) or w = 1
+    and c = 1 (1d), the approximant of sum_{m>=0} f(m) is
 
-    The caller supplies f(0), the improper integral and the odd
-    derivatives at zero exactly; nothing is differentiated numerically.
-    odd_derivatives[k-1] holds f^(2k-1)(0).
+        integral_0^inf f + f(0)/2 - sum_{k=1}^{K} B_2k/(2k)! f^(2k-1)(0),
+
+    where x^j e^(-cx/alpha) integrates to j! (alpha/c)^(j+1) and its m-th
+    derivative at 0 is m!/(m-j)! (-c/alpha)^(m-j).  At order 2:
+
+        3d: Z = a^3/4 + a^2/2 + a/2 + 1/3 + 3/(20a) + 1/(30a^2) - 1/(90a^3),
+        1d: Z = a + 1/2 + 1/(12a) - 1/(720a^3).
+
+    'paper' swaps the 1d order-2 tail for -a^3/5400, an alternate form kept
+    for comparison: it does not follow from the summation formula at any
+    order and turns Z negative beyond alpha ~ 73.7, so 'derived' is the
+    default everywhere.  No other form has a 'paper' variant.
     """
-    if k_max is None:
-        k_max = len(odd_derivatives)
-    if k_max > len(odd_derivatives):
-        raise DomainError(f"need {k_max} odd derivatives, got {len(odd_derivatives)}")
-    total = 0.5 * f0 + integral
-    for k in range(1, k_max + 1):
-        total -= float(bernoulli(k)) / math.factorial(2 * k) * odd_derivatives[k - 1]
-    return total
-
-
-def em_bundle_3d(alpha_bar: float, k_max: int = BERNOULLI_K_MAX):
-    """f(0), improper integral and odd derivatives for f(x) = (1+x)^2 e^(-2x/alpha).
-
-    With b = 2/alpha: the integral is (alpha^3/4)[1 + (2/alpha)(1 + 1/alpha)]
-    and f^(m)(0) = (-b)^m + 2m(-b)^(m-1) + m(m-1)(-b)^(m-2).
-    """
-    _check_alpha(alpha_bar)
-    b = 2.0 / alpha_bar
-    integral = 0.25 * alpha_bar ** 3 * (1.0 + (2.0 / alpha_bar) * (1.0 + 1.0 / alpha_bar))
-    derivs = []
-    for k in range(1, k_max + 1):
+    _check_mode(mode)
+    if variant != VARIANT_DERIVED and (variant, mode, order) != (VARIANT_PAPER, ONE_D, 2):
+        raise UsageError(f"the {mode} order-{order} form has no variant {variant!r}; 'paper' is 1d order 2 only")
+    if not 1 <= order <= BERNOULLI_K_MAX:
+        raise DomainError(f"em_order must be in 1..{BERNOULLI_K_MAX}, got {order}")
+    c, weights = (2, (1, 2, 1)) if mode == THREE_D else (1, (1,))
+    table = defaultdict(Fraction, {0: Fraction(weights[0], 2)})
+    for j, w in enumerate(weights):
+        table[j + 1] += Fraction(w * math.factorial(j), c ** (j + 1))
+    for k in range(1, order + 1):
         m = 2 * k - 1
-        derivs.append((-b) ** m + 2.0 * m * (-b) ** (m - 1) + m * (m - 1.0) * (-b) ** (m - 2))
-    return 1.0, integral, derivs
+        for j, w in enumerate(weights[: m + 1]):
+            table[j - m] -= bernoulli(k) / math.factorial(2 * k) * w * math.perm(m, j) * (-c) ** (m - j)
+    if variant == VARIANT_PAPER:
+        del table[-3]
+        table[3] = Fraction(-1, 5400)
+    return MappingProxyType({k: v for k, v in table.items() if v})
 
 
-def em_bundle_1d(alpha_bar: float, k_max: int = BERNOULLI_K_MAX):
-    """f(0), improper integral and odd derivatives for f(x) = e^(-x/alpha)."""
+@functools.cache
+def _em_terms(mode: str, order: int, variant: str, exact: bool):
+    """(top, polys): Z, dZ/dalpha and d2Z/dalpha2 of a table, each as the
+    (k, p, q) terms of its powers a^k, k >= 0, then the (-k, p, q) terms of
+    its powers k < 0, highest power first, and the largest |k| of all.
+    p and q are floats unless ``exact``."""
+    tables = [em_coefficients(mode, order, variant)]
+    for _ in range(2):
+        tables.append({k - 1: k * v for k, v in tables[-1].items() if k})
+    cast = int if exact else float
+    polys = []
+    for table in tables:
+        terms = [(k, cast(v.numerator), cast(v.denominator)) for k, v in sorted(table.items(), reverse=True)]
+        polys.append((tuple(t for t in terms if t[0] >= 0), tuple((-k, p, q) for k, p, q in terms if k < 0)))
+    return max(abs(k) for table in tables for k in table), tuple(polys)
+
+
+def _em_evaluate(alpha_bar, top, polys):
+    """Each polynomial of ``polys`` at alpha_bar, summed from the highest
+    power down, with p/q entering as p a^k/q (k >= 0) or p/(q a^-k).
+
+    Powers are products, since numpy's array power rounds differently from
+    the scalar one and a point must match the same alpha inside a sweep.
+    """
+    powers = [alpha_bar ** 0, alpha_bar]  # a 1 of alpha's own type
+    for _ in range(top - 1):
+        powers.append(powers[-1] * alpha_bar)
+    values = []
+    for up, down in polys:
+        total = 0
+        for k, p, q in up:
+            total += p * powers[k] / q
+        for k, p, q in down:
+            total += p / (q * powers[k])
+        values.append(total)
+    return values
+
+
+def em_z_derivatives(mode: str, alpha_bar, variant: str = VARIANT_DERIVED):
+    """(Z, dZ/dalpha, d2Z/dalpha2) of the order-2 Euler-Maclaurin form, at
+    one alpha, elementwise over an array of them, or exactly at a Fraction.
+    The derivatives are those of the table's coefficients."""
     _check_alpha(alpha_bar)
-    b = 1.0 / alpha_bar
-    derivs = [-(b ** (2 * k - 1)) for k in range(1, k_max + 1)]
-    return 1.0, alpha_bar, derivs
+    return tuple(_em_evaluate(alpha_bar, *_em_terms(mode, 2, variant, isinstance(alpha_bar, Fraction))))
 
 
 def partition_em(spec: PartitionSpec) -> PartitionValue:
-    """Euler-Maclaurin partition function at the order spec.em_order.
-
-    At order 2 this agrees term by term with the closed forms
-    ``partition_em_3d`` and the derived variant of ``partition_em_1d``.
-    """
-    bundle = em_bundle_3d if spec.mode == THREE_D else em_bundle_1d
-    f0, integral, derivs = bundle(spec.alpha_bar, spec.em_order)
-    return PartitionValue(Z=em_sum(f0, integral, derivs, spec.em_order), method="euler_maclaurin")
-
-
-def partition_em_3d(alpha_bar: float) -> PartitionValue:
-    """Second-order Euler-Maclaurin closed form of the 3d ladder:
-
-        Z = 1/3 + (alpha^3/4)[1 + (2/alpha)(1 + 1/alpha)]
-            + (1/(20 alpha))[3 + (2/(3 alpha))(1 - 1/(3 alpha))].
-
-    Evaluated exactly in this grouping; ``partition_em_3d_fraction`` is
-    the same expression in exact rational arithmetic.
-    """
-    _check_alpha(alpha_bar)
-    a = alpha_bar
-    z = (
-        1.0 / 3.0
-        + 0.25 * a ** 3 * (1.0 + (2.0 / a) * (1.0 + 1.0 / a))
-        + (1.0 / (20.0 * a)) * (3.0 + (2.0 / (3.0 * a)) * (1.0 - 1.0 / (3.0 * a)))
-    )
+    """Euler-Maclaurin partition function at the order spec.em_order; at
+    order 2 it is ``em_z_derivatives(mode, alpha_bar, variant)[0]`` bit for bit."""
+    z = _em_evaluate(spec.alpha_bar, *_em_terms(spec.mode, spec.em_order, spec.variant, False))[0]
     return PartitionValue(Z=z, method="euler_maclaurin")
-
-
-def partition_em_3d_fraction(alpha_bar: Fraction) -> Fraction:
-    """The 3d closed form in exact rational arithmetic."""
-    a = Fraction(alpha_bar)
-    if a <= 0:
-        raise DomainError(f"alpha_bar must be > 0, got {a}")
-    return (
-        Fraction(1, 3)
-        + Fraction(1, 4) * a ** 3 * (1 + (2 / a) * (1 + 1 / a))
-        + (1 / (20 * a)) * (3 + (2 / (3 * a)) * (1 - 1 / (3 * a)))
-    )
-
-
-def partition_em_1d(alpha_bar: float, variant: str = VARIANT_DERIVED) -> PartitionValue:
-    """Second-order closed form of the 1d ladder, in two variants.
-
-    'derived' is what the Euler-Maclaurin assembly actually gives,
-
-        Z = 1/2 + alpha + 1/(12 alpha) - 1/(720 alpha^3);
-
-    'paper' swaps the last term for -alpha^3/5400, an alternate form of
-    the same order kept for comparison.  The alternate tail grows with alpha (it
-    turns the whole form negative beyond alpha ~ 73.7) and does not
-    follow from the summation formula at any order, so 'derived' is the
-    default everywhere.
-    """
-    _check_alpha(alpha_bar)
-    a = alpha_bar
-    base = 0.5 + a + 1.0 / (12.0 * a)
-    if variant == VARIANT_DERIVED:
-        return PartitionValue(Z=base - 1.0 / (720.0 * a ** 3), method="euler_maclaurin")
-    if variant == VARIANT_PAPER:
-        return PartitionValue(Z=base - a ** 3 / 5400.0, method="euler_maclaurin")
-    raise UsageError(f"variant must be 'derived' or 'paper', got {variant!r}")
-
-
-def partition_em_1d_fraction(alpha_bar: Fraction, variant: str = VARIANT_DERIVED) -> Fraction:
-    """The 1d closed forms in exact rational arithmetic."""
-    a = Fraction(alpha_bar)
-    if a <= 0:
-        raise DomainError(f"alpha_bar must be > 0, got {a}")
-    base = Fraction(1, 2) + a + 1 / (12 * a)
-    if variant == VARIANT_DERIVED:
-        return base - 1 / (720 * a ** 3)
-    if variant == VARIANT_PAPER:
-        return base - a ** 3 / 5400
-    raise UsageError(f"variant must be 'derived' or 'paper', got {variant!r}")
 
 
 def convergence_integral(beta_xi: float) -> float:
@@ -370,48 +340,3 @@ def convergence_integral(beta_xi: float) -> float:
         raise DomainError(f"beta_xi must be > 0, got {beta_xi}")
     u = beta_xi
     return (1.0 + 2.0 * u * (1.0 + u)) * math.exp(-3.0 * u) / (4.0 * u ** 3)
-
-
-def em_3d_z_derivatives(alpha_bar):
-    """(Z, dZ/dalpha, d2Z/dalpha2) of the 3d closed form, at one alpha or
-    elementwise over an array of them.
-
-    Differentiated term by term from the expanded representation
-    Z = a^3/4 + a^2/2 + a/2 + 1/3 + 3/(20a) + 1/(30a^2) - 1/(90a^3).
-    """
-    _check_alpha(alpha_bar)
-    # powers as products: numpy's array power rounds differently from the
-    # scalar one, and a point must match the same alpha inside a sweep
-    a = alpha_bar
-    a2 = a * a
-    a3 = a2 * a
-    a4 = a2 * a2
-    z = a3 / 4.0 + a2 / 2.0 + a / 2.0 + 1.0 / 3.0 + 3.0 / (20.0 * a) + 1.0 / (30.0 * a2) - 1.0 / (90.0 * a3)
-    dz = 0.75 * a2 + a + 0.5 - 3.0 / (20.0 * a2) - 1.0 / (15.0 * a3) + 1.0 / (30.0 * a4)
-    d2z = 1.5 * a + 1.0 + 3.0 / (10.0 * a3) + 1.0 / (5.0 * a4) - 2.0 / (15.0 * a4 * a)
-    return z, dz, d2z
-
-
-def em_1d_z_derivatives(alpha_bar, variant: str = VARIANT_DERIVED):
-    """(Z, dZ/dalpha, d2Z/dalpha2) of the selected 1d closed form, at one
-    alpha or elementwise over an array of them."""
-    _check_alpha(alpha_bar)
-    a = alpha_bar
-    a2 = a * a
-    a3 = a2 * a
-    base = 0.5 + a + 1.0 / (12.0 * a)
-    dbase = 1.0 - 1.0 / (12.0 * a2)
-    d2base = 1.0 / (6.0 * a3)
-    if variant == VARIANT_DERIVED:
-        return (
-            base - 1.0 / (720.0 * a3),
-            dbase + 1.0 / (240.0 * a2 * a2),
-            d2base - 1.0 / (60.0 * a3 * a2),
-        )
-    if variant == VARIANT_PAPER:
-        return (
-            base - a3 / 5400.0,
-            dbase - a2 / 1800.0,
-            d2base - a / 900.0,
-        )
-    raise UsageError(f"variant must be 'derived' or 'paper', got {variant!r}")

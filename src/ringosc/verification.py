@@ -68,7 +68,7 @@ def check_angular_constants() -> CheckResult:
 
 
 def check_em3d_rational() -> CheckResult:
-    value = partition.partition_em_3d_fraction(Fraction(1))
+    value = partition.em_z_derivatives(partition.THREE_D, Fraction(1))[0]
     exact = Fraction(79, 45)
     return CheckResult(
         "3d closed form at alpha = 1 equals 79/45 in rational arithmetic",
@@ -80,7 +80,7 @@ def check_em3d_rational() -> CheckResult:
 
 
 def check_em3d_vs_direct(em3d_fn=None) -> CheckResult:
-    em3d_fn = em3d_fn or (lambda a: partition.partition_em_3d(a).Z)
+    em3d_fn = em3d_fn or (lambda a: partition.partition_em(partition.PartitionSpec(partition.THREE_D, a)).Z)
     results = []
     for alpha, tol in ((10.0, 1e-3), (50.0, 1e-4)):
         direct = partition.partition_direct(partition.PartitionSpec(partition.THREE_D, alpha)).Z
@@ -95,7 +95,7 @@ def check_em1d_vs_exact() -> CheckResult:
     worst = 0.0
     for alpha in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
         exact = partition.partition_closed_form_1d(alpha).Z
-        derived = partition.partition_em_1d(alpha).Z
+        derived = partition.partition_em(partition.PartitionSpec(partition.ONE_D, alpha)).Z
         worst = max(worst, abs(derived - exact) / exact)
     return CheckResult(
         "1d derived closed form vs exact geometric form",
@@ -107,8 +107,8 @@ def check_em1d_vs_exact() -> CheckResult:
 
 
 def info_em1d_variant_gap() -> CheckResult:
-    derived = partition.partition_em_1d(1.0, partition.VARIANT_DERIVED).Z
-    alt = partition.partition_em_1d(1.0, partition.VARIANT_PAPER).Z
+    derived = partition.partition_em(partition.PartitionSpec(partition.ONE_D, 1.0)).Z
+    alt = partition.partition_em(partition.PartitionSpec(partition.ONE_D, 1.0, variant=partition.VARIANT_PAPER)).Z
     gap = abs(alt - derived) / derived
     return CheckResult(
         "1d closed-form variant gap (informational)",

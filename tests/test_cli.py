@@ -87,6 +87,16 @@ def test_partition_1d_method_columns(tmp_path):
     assert "rd_direct_exact" in header
 
 
+def test_partition_em_paper_is_the_order_2_form_at_any_em_order(tmp_path):
+    out = tmp_path / "z.csv"
+    argv = ["partition", "--mode", "1d", "--alpha", "1", "--methods", "em,em-paper", "--em-order", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["Z_em_paper"]) == pytest.approx(8549 / 5400, rel=1e-15)
+    assert float(row["Z_em"]) == pytest.approx(1139 / 720 + 1 / 30240, rel=1e-15)
+
+
 def test_partition_3d_em_row(tmp_path):
     out = tmp_path / "z3.csv"
     assert main(["partition", "--alpha", "1", "--methods", "em", "--out", str(out)]) == 0
@@ -262,6 +272,14 @@ def test_exit_code_io_error(tmp_path):
         ({"subcommand": "sweep", "points": 2.5}, 2),
         ({"subcommand": "sweep", "alpha_min": "1"}, 2),
         ({"figure": "f1"}, 2),
+        # the 'paper' variant exists for the 1d order-2 Euler-Maclaurin form only
+        ({"subcommand": "partition", "mode": "1d", "alphas": [1], "methods": ["em"], "em_order": 3,
+          "variant": "paper"}, 2),
+        ({"subcommand": "partition", "mode": "3d", "alphas": [1], "methods": ["em"], "variant": "paper"}, 2),
+        ({"subcommand": "sweep", "mode": "3d", "z_method": "em", "variant": "paper"}, 2),
+        ({"subcommand": "sweep", "mode": "1d", "z_method": "direct", "variant": "paper"}, 2),
+        ({"subcommand": "sweep", "figure": "f5", "variant": "paper"}, 2),
+        ({"subcommand": "sweep", "variant": "magic"}, 2),
     ],
 )
 def test_bad_manifest_field_exit_code(tmp_path, capsys, fields, code):
@@ -271,6 +289,7 @@ def test_bad_manifest_field_exit_code(tmp_path, capsys, fields, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -15,21 +15,15 @@ from ringosc.partition import (
     VARIANT_PAPER,
     PartitionSpec,
     convergence_integral,
-    em_1d_z_derivatives,
-    em_3d_z_derivatives,
-    em_bundle_1d,
-    em_bundle_3d,
-    em_sum,
+    em_coefficients,
+    em_z_derivatives,
     ladder_log_z_moments,
     partition_closed_form_1d,
     partition_direct,
     partition_em,
-    partition_em_1d,
-    partition_em_1d_fraction,
-    partition_em_3d,
-    partition_em_3d_fraction,
     suggested_cutoff,
 )
+from ringosc.specfun import BERNOULLI_K_MAX
 
 
 def closed_form_3d(alpha):
@@ -151,9 +145,9 @@ def test_closed_form_ladder_validation():
 KERNELS = {
     "ladder_3d": lambda a: ladder_log_z_moments(THREE_D, a),
     "ladder_1d": lambda a: ladder_log_z_moments(ONE_D, a),
-    "em_3d": em_3d_z_derivatives,
-    "em_1d": em_1d_z_derivatives,
-    "em_1d_paper": lambda a: em_1d_z_derivatives(a, VARIANT_PAPER),
+    "em_3d": lambda a: em_z_derivatives(THREE_D, a),
+    "em_1d": lambda a: em_z_derivatives(ONE_D, a),
+    "em_1d_paper": lambda a: em_z_derivatives(ONE_D, a, VARIANT_PAPER),
 }
 
 
@@ -177,80 +171,146 @@ def test_kernels_reject_a_bad_array_element(kernel, bad):
 # ------------------------------------------------------------------- em
 
 
-def test_em_sum_constant_function():
-    assert em_sum(3.0, 11.0, [0.0, 0.0]) == pytest.approx(3.0 / 2.0 + 11.0, rel=1e-15)
+def em_z(mode, alpha, variant=VARIANT_DERIVED, order=2):
+    return partition_em(PartitionSpec(mode, alpha, em_order=order, variant=variant)).Z
 
 
-def test_em_sum_pure_exponential():
-    # f = e^(-bx), b = 2: 1/2 + 1/b + b/12 - b^3/720
-    b = 2.0
-    value = em_sum(1.0, 1.0 / b, [-b, -(b ** 3)], 2)
-    assert value == pytest.approx(0.5 + 0.5 + 2.0 / 12.0 - 8.0 / 720.0, rel=1e-15)
+def sympy_em_table(mode, order):
+    """{power of alpha: Fraction} of the order-K Euler-Maclaurin formula,
+    assembled by sympy: integral, f(0)/2 and the Bernoulli corrections."""
+    sp = pytest.importorskip("sympy")
+    x, a = sp.symbols("x alpha", positive=True)
+    f = (1 + x) ** 2 * sp.exp(-2 * x / a) if mode == THREE_D else sp.exp(-x / a)
+    z = sp.integrate(f, (x, 0, sp.oo)) + f.subs(x, 0) / 2
+    for k in range(1, order + 1):
+        z -= sp.bernoulli(2 * k) / sp.factorial(2 * k) * sp.diff(f, x, 2 * k - 1).subs(x, 0)
+    table = {}
+    for term in sp.Add.make_args(sp.expand(z)):
+        coeff, power = term.as_coeff_exponent(a)
+        table[int(power)] = table.get(int(power), 0) + Fraction(int(coeff.p), int(coeff.q))
+    return table
 
 
-def test_em_bundle_3d_derivatives():
-    _, _, derivs = em_bundle_3d(1.0, 2)
-    b = 2.0
-    assert derivs[0] == pytest.approx(2.0 - b, rel=1e-15)
-    assert derivs[1] == pytest.approx(-b ** 3 + 6.0 * b ** 2 - 6.0 * b, rel=1e-15)
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_em_coefficients_match_sympy_assembly(mode):
+    for order in range(1, BERNOULLI_K_MAX + 1):
+        assert dict(em_coefficients(mode, order)) == sympy_em_table(mode, order), order
+
+
+def test_em_paper_table_swaps_the_cubic_tail():
+    table = sympy_em_table(ONE_D, 2)
+    assert table.pop(-3) == Fraction(-1, 720)
+    table[3] = Fraction(-1, 5400)
+    assert dict(em_coefficients(ONE_D, 2, VARIANT_PAPER)) == table
+
+
+@pytest.mark.parametrize("mode, order", [(THREE_D, 1), (THREE_D, 2), (ONE_D, 1), (ONE_D, 5)])
+@pytest.mark.parametrize("variant", ["magic", VARIANT_PAPER])
+def test_em_coefficients_reject_a_variant_the_form_lacks(mode, order, variant):
+    with pytest.raises(UsageError):
+        em_coefficients(mode, order, variant)
+    with pytest.raises(UsageError):
+        partition_em(PartitionSpec(mode, 1.0, em_order=order, variant=variant))
+
+
+def test_em_coefficients_are_cached_and_read_only():
+    table = em_coefficients(THREE_D, 4)
+    assert em_coefficients(THREE_D, 4) is table
+    with pytest.raises(TypeError):
+        table[0] = Fraction(0)
+
+
+@pytest.mark.parametrize("mode, variant", [(THREE_D, VARIANT_DERIVED), (ONE_D, VARIANT_DERIVED), (ONE_D, VARIANT_PAPER)])
+def test_em_float_evaluation_within_summation_bound(mode, variant):
+    # the a-priori bound of a sum of n rounded terms: (n + 2) u sum |c_k a^k|
+    polys = [em_coefficients(mode, 2, variant)]
+    for _ in range(2):
+        polys.append({k - 1: k * c for k, c in polys[-1].items() if k})
+    grid = np.geomspace(0.2, 1e8, 3000)
+    columns = em_z_derivatives(mode, grid, variant)
+    for i, a in enumerate(grid.tolist()):
+        floats = em_z_derivatives(mode, a, variant)
+        assert floats == tuple(col[i] for col in columns)
+        for got, want, poly in zip(floats, em_z_derivatives(mode, Fraction(a), variant), polys):
+            bound = (len(poly) + 2) * 2.0 ** -53 * sum(abs(float(c) * a ** k) for k, c in poly.items())
+            assert abs(Fraction(got) - want) <= bound, (a, got, float(want))
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_em_any_order_within_summation_bound(mode):
+    for order in range(1, BERNOULLI_K_MAX + 1):
+        table = em_coefficients(mode, order)
+        for a in np.geomspace(0.2, 1e8, 60).tolist():
+            want = sum(c * Fraction(a) ** k for k, c in table.items())
+            bound = (len(table) + 2) * 2.0 ** -53 * sum(abs(float(c) * a ** k) for k, c in table.items())
+            assert abs(Fraction(em_z(mode, a, order=order)) - want) <= bound, (order, a)
+
+
+def test_em_order_2_derivatives_differentiate_the_table():
+    a = Fraction(3, 7)
+    z, dz, d2z = em_z_derivatives(THREE_D, a)
+    table = em_coefficients(THREE_D)
+    assert z == sum(c * a ** k for k, c in table.items())
+    assert dz == sum(k * c * a ** (k - 1) for k, c in table.items())
+    assert d2z == sum(k * (k - 1) * c * a ** (k - 2) for k, c in table.items())
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 3.0, 20.0])
 def test_em_engine_reproduces_closed_forms(alpha):
-    spec3 = PartitionSpec(THREE_D, alpha, em_order=2)
-    assert partition_em(spec3).Z == pytest.approx(partition_em_3d(alpha).Z, rel=1e-12)
-    spec1 = PartitionSpec(ONE_D, alpha, em_order=2)
-    assert partition_em(spec1).Z == pytest.approx(partition_em_1d(alpha).Z, rel=1e-12)
+    assert em_z(THREE_D, alpha) == em_z_derivatives(THREE_D, alpha)[0]
+    assert em_z(THREE_D, alpha) == pytest.approx(float(em_z_derivatives(THREE_D, Fraction(alpha))[0]), rel=1e-15)
+    assert em_z(ONE_D, alpha) == em_z_derivatives(ONE_D, alpha)[0]
+    assert em_z(ONE_D, alpha) == pytest.approx(float(em_z_derivatives(ONE_D, Fraction(alpha))[0]), rel=1e-15)
 
 
 def test_em_3d_at_unit_alpha_is_79_over_45():
-    assert partition_em_3d_fraction(Fraction(1)) == Fraction(79, 45)
-    assert partition_em_3d(1.0).Z == pytest.approx(79.0 / 45.0, rel=1e-15)
+    assert em_z_derivatives(THREE_D, Fraction(1))[0] == Fraction(79, 45)
+    assert em_z(THREE_D, 1.0) == pytest.approx(79.0 / 45.0, rel=1e-15)
 
 
 def test_em_3d_high_temperature_ratio():
-    ratios = [partition_em_3d(a).Z / (a ** 3 / 4.0) for a in (10.0, 20.0, 50.0, 100.0)]
+    ratios = [em_z(THREE_D, a) / (a ** 3 / 4.0) for a in (10.0, 20.0, 50.0, 100.0)]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))  # monotone toward 1
     assert ratios[-1] == pytest.approx(1.0, rel=0.05)
 
 
 def test_em_3d_vs_direct_tenth_of_percent():
     direct = partition_direct(PartitionSpec(THREE_D, 10.0)).Z
-    assert abs(partition_em_3d(10.0).Z - direct) / direct < 1e-3
+    assert abs(em_z(THREE_D, 10.0) - direct) / direct < 1e-3
 
 
 def test_em_vs_direct_error_monotone_decreasing():
     rels = []
     for alpha in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
         direct = partition_direct(PartitionSpec(THREE_D, alpha)).Z
-        rels.append(abs(partition_em_3d(alpha).Z - direct) / direct)
+        rels.append(abs(em_z(THREE_D, alpha) - direct) / direct)
     assert all(b < a for a, b in zip(rels, rels[1:]))
     assert rels[3] < 1e-3 and rels[5] < 1e-4
 
 
 def test_em_1d_exact_fractions_at_unit_alpha():
-    assert partition_em_1d_fraction(Fraction(1), VARIANT_DERIVED) == Fraction(1139, 720)
-    assert partition_em_1d_fraction(Fraction(1), VARIANT_PAPER) == Fraction(8549, 5400)
-    assert partition_em_1d(1.0, VARIANT_DERIVED).Z == pytest.approx(1.5819444444444444, rel=1e-15)
-    assert partition_em_1d(1.0, VARIANT_PAPER).Z == pytest.approx(1.5831481481481481, rel=1e-15)
+    assert em_z_derivatives(ONE_D, Fraction(1), VARIANT_DERIVED)[0] == Fraction(1139, 720)
+    assert em_z_derivatives(ONE_D, Fraction(1), VARIANT_PAPER)[0] == Fraction(8549, 5400)
+    assert em_z(ONE_D, 1.0, VARIANT_DERIVED) == pytest.approx(1.5819444444444444, rel=1e-15)
+    assert em_z(ONE_D, 1.0, VARIANT_PAPER) == pytest.approx(1.5831481481481481, rel=1e-15)
 
 
 def test_em_1d_derived_tracks_exact_form():
     rels = []
     for alpha in (1.0, 2.0, 5.0, 10.0):
         exact = partition_closed_form_1d(alpha).Z
-        rels.append(abs(partition_em_1d(alpha).Z - exact) / exact)
+        rels.append(abs(em_z(ONE_D, alpha) - exact) / exact)
     assert all(b < a for a, b in zip(rels, rels[1:]))
     assert rels[0] < 1e-4
 
 
 def test_em_1d_leading_linear_term():
-    assert partition_em_1d(1e6, VARIANT_DERIVED).Z / 1e6 == pytest.approx(1.0, rel=1e-5)
+    assert em_z(ONE_D, 1e6, VARIANT_DERIVED) / 1e6 == pytest.approx(1.0, rel=1e-5)
     # in the alternate variant the linear term only dominates before the
     # cubic tail takes over (it breaks the large-alpha limit outright);
     # that failure mode is the point of keeping it behind a switch
-    assert partition_em_1d(10.0, VARIANT_PAPER).Z / 10.0 == pytest.approx(1.0, rel=0.05)
-    assert partition_em_1d(100.0, VARIANT_PAPER).Z < 0.0
+    assert em_z(ONE_D, 10.0, VARIANT_PAPER) / 10.0 == pytest.approx(1.0, rel=0.05)
+    assert em_z(ONE_D, 100.0, VARIANT_PAPER) < 0.0
 
 
 # ----------------------------------------------------------- the integral

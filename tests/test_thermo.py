@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ringosc.errors import DomainError, SweepError, UsageError
-from ringosc.partition import ONE_D, THREE_D, VARIANT_PAPER, em_1d_z_derivatives, em_3d_z_derivatives
+from ringosc.partition import ONE_D, THREE_D, VARIANT_PAPER, em_z_derivatives
 from ringosc.thermo import (
     SweepSpec,
     ThermoPoint,
@@ -54,14 +54,14 @@ def test_finite_difference_converges_quadratically():
     # halving the step cuts the FD-vs-analytic gap by about 4x on the
     # smooth closed form
     alpha = 2.0
-    z, dz, _ = em_3d_z_derivatives(alpha)
+    z, dz, _ = em_z_derivatives(THREE_D, alpha)
     g1_exact = dz / z
 
     def g1_fd(eta_rel):
         pt = None
         eta = eta_rel * alpha
-        gp = math.log(em_3d_z_derivatives(alpha + eta)[0])
-        gm = math.log(em_3d_z_derivatives(alpha - eta)[0])
+        gp = math.log(em_z_derivatives(THREE_D, alpha + eta)[0])
+        gm = math.log(em_z_derivatives(THREE_D, alpha - eta)[0])
         return (gp - gm) / (2.0 * eta)
 
     err_coarse = abs(g1_fd(2e-3) - g1_exact)
@@ -138,7 +138,7 @@ def loop_point(a, mode, z_method, scheme, lib, fd_step_rel=1e-5):
         return lib.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
 
     def em(a):
-        return em_3d_z_derivatives(a) if mode == THREE_D else em_1d_z_derivatives(a)
+        return em_z_derivatives(mode, a)
 
     def log_z(a):
         return ladder(a)[0] if z_method == "direct" else lib.log(em(a)[0])
@@ -266,7 +266,7 @@ def test_high_t_asymptotics_values():
 def test_em_z_approaches_asymptote_monotonically():
     ratios = []
     for alpha in (10.0, 20.0, 50.0, 100.0):
-        ratios.append(em_3d_z_derivatives(alpha)[0] / high_t_asymptotics(alpha).Z)
+        ratios.append(em_z_derivatives(THREE_D, alpha)[0] / high_t_asymptotics(alpha).Z)
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, rel=0.05)
 
