@@ -10,17 +10,7 @@ ln Z and its alpha-derivatives (`thermo`).
 """
 
 from .errors import BranchError, ConvergenceError, DomainError, SweepError, UsageError
-from .nu_solver import (
-    AffineMap,
-    NUDerived,
-    NUProblem,
-    QuantizationMode,
-    WavefunctionFactors,
-    derive,
-    quantization_residual,
-    solve_bracketed,
-    wavefunction_factors,
-)
+from .nu_solver import NUDerived, NUProblem, derive, quantization_residual, solve_bracketed
 from .partition import (
     ONE_D,
     THREE_D,
@@ -69,7 +59,6 @@ from .thermo import (
     SweepSpec,
     ThermoPoint,
     continuity_scan,
-    high_t_asymptotics,
     scan_jumps,
     sweep,
     thermo_point,

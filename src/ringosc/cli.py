@@ -35,7 +35,7 @@ from .partition import (
 from .spectrum import PotentialParams, angular_solution, energy_special_case, level
 from .thermo import SweepSpec, continuity_scan, sweep
 
-__all__ = ["RunManifest", "FigureDataset", "FIGURES", "main", "run"]
+__all__ = ["RunManifest", "FIGURES", "main", "run"]
 
 FIGURES = {
     "f1": ("F1_free_energy", ("alpha_bar", "F_bar")),
@@ -150,37 +150,6 @@ class RunManifest:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(self.to_dict(), handle, sort_keys=True, indent=2)
             handle.write("\n")
-
-
-@dataclass(frozen=True)
-class FigureDataset:
-    """Plot-ready rows for one figure id; rows sorted by alpha."""
-
-    figure_id: str
-    columns: tuple
-    rows: tuple
-
-    def __post_init__(self):
-        expected = {name: cols for name, cols in FIGURES.values()}
-        if self.figure_id not in expected:
-            raise UsageError(f"unknown figure id {self.figure_id!r}")
-        if tuple(self.columns) != expected[self.figure_id]:
-            raise UsageError(f"figure {self.figure_id} expects columns {expected[self.figure_id]}")
-        if any(len(row) != len(self.columns) for row in self.rows):
-            raise UsageError("row width does not match column count")
-        alphas = [row[0] for row in self.rows]
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
-            raise UsageError("rows must be sorted by increasing alpha")
-
-    def to_csv(self) -> str:
-        return render_csv(self.columns, self.rows)
-
-    @classmethod
-    def from_csv(cls, figure_id: str, text: str) -> "FigureDataset":
-        lines = [line for line in text.split("\n") if line]
-        columns = tuple(lines[0].split(","))
-        rows = tuple(tuple(float(cell) for cell in line.split(",")) for line in lines[1:])
-        return cls(figure_id=figure_id, columns=columns, rows=rows)
 
 
 def _fmt_cell(value) -> str:
@@ -318,10 +287,9 @@ def cmd_partition(manifest: RunManifest) -> int:
 def cmd_sweep(manifest: RunManifest) -> int:
     mode = manifest.mode
     if manifest.figure is not None:
-        figure_id, columns = FIGURES[manifest.figure]
+        _, columns = FIGURES[manifest.figure]
         mode = ONE_D if manifest.figure == "f5" else THREE_D
     else:
-        figure_id = None
         columns = ("alpha_bar", "F_bar", "U_bar", "S_bar", "C_bar")
     spec = SweepSpec.from_grid(
         manifest.alpha_min,
@@ -334,9 +302,6 @@ def cmd_sweep(manifest: RunManifest) -> int:
     )
     result = sweep(spec)
     rows = tuple(tuple(getattr(pt, name) for name in columns) for pt in result.points)
-    if figure_id is not None:
-        dataset = FigureDataset(figure_id=figure_id, columns=columns, rows=rows)
-        rows = dataset.rows
     _emit(manifest, columns, rows)
 
     if len(result.points) < 2:

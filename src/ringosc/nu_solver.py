@@ -4,10 +4,9 @@
         - (x1 y^2 - x2 y + x3) / (y (1 - b3 y))^2 F = 0.
 
 ``derive`` turns the six template coefficients into the downstream
-parameter set, ``quantization_residual`` evaluates either termination
-rule (the standard one, or the variant stated for b3 = 0), and
-``wavefunction_factors`` reports the exponents and Jacobi factor of the
-bound solutions.
+parameter set, ``quantization_residual`` evaluates the standard
+termination rule, and ``solve_bracketed`` finds the root of a residual in
+the unknown a caller embedded in the coefficients.
 
 beta8 and beta9 are returned raw, possibly negative; every square root
 is taken at the point of use behind an explicit check, so ``derive`` is
@@ -17,36 +16,18 @@ total and the non-existence of a bound state surfaces as a
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .errors import BranchError, ConvergenceError, DomainError
-from .specfun import JacobiParams
 
 __all__ = [
-    "QuantizationMode",
     "NUProblem",
     "NUDerived",
-    "AffineMap",
-    "WavefunctionFactors",
     "derive",
     "quantization_residual",
-    "wavefunction_factors",
     "solve_bracketed",
 ]
-
-
-class QuantizationMode(enum.Enum):
-    """Which termination rule to evaluate.
-
-    BETA3_ZERO is the separately stated rule for vanishing b3; both rules
-    are implemented literally, with the b3-proportional terms kept in the
-    code so they cancel identically when b3 == 0.
-    """
-
-    STANDARD = "standard"
-    BETA3_ZERO = "beta3_zero"
 
 
 @dataclass(frozen=True)
@@ -70,10 +51,8 @@ class NUProblem:
 class NUDerived:
     """Derived parameters beta4..beta9 plus the source problem.
 
-    The index parameters beta10..beta13 (and their starred variants for
-    the b3 = 0 branch) are exposed as properties because they involve
-    sqrt(beta8) and sqrt(beta9); accessing them when either is negative
-    raises ``BranchError``.
+    sqrt(beta8) and sqrt(beta9) are taken through ``_root8`` and
+    ``_root9``, which raise ``BranchError`` when the radicand is negative.
     """
 
     problem: NUProblem
@@ -94,40 +73,6 @@ class NUDerived:
             raise BranchError(f"beta9 = {self.beta9} < 0: no real bound-state branch")
         return math.sqrt(self.beta9)
 
-    @property
-    def beta10(self) -> float:
-        return self.problem.beta1 + 2.0 * self.beta4 + 2.0 * self._root8()
-
-    @property
-    def beta11(self) -> float:
-        p = self.problem
-        return p.beta2 - 2.0 * self.beta5 + 2.0 * (self._root9() + p.beta3 * self._root8())
-
-    @property
-    def beta12(self) -> float:
-        return self.beta4 + self._root8()
-
-    @property
-    def beta13(self) -> float:
-        return self.beta5 - (self._root9() + self.problem.beta3 * self._root8())
-
-    @property
-    def beta10s(self) -> float:
-        return self.problem.beta1 + 2.0 * self.beta4 - 2.0 * self._root8()
-
-    @property
-    def beta11s(self) -> float:
-        p = self.problem
-        return p.beta2 - 2.0 * self.beta5 - 2.0 * (self._root9() - p.beta3 * self._root8())
-
-    @property
-    def beta12s(self) -> float:
-        return self.beta4 - self._root8()
-
-    @property
-    def beta13s(self) -> float:
-        return self.beta5 - (self._root9() - self.problem.beta3 * self._root8())
-
 
 def derive(problem: NUProblem) -> NUDerived:
     """Compute beta4..beta9 from the template coefficients.
@@ -144,92 +89,27 @@ def derive(problem: NUProblem) -> NUDerived:
     return NUDerived(problem, b4, b5, b6, b7, b8, b9)
 
 
-def quantization_residual(
-    derived: NUDerived, s: int, mode: QuantizationMode = QuantizationMode.STANDARD
-) -> float:
-    """Left-hand side of the selected termination rule at node count s.
+def quantization_residual(derived: NUDerived, s: int) -> float:
+    """Left-hand side of the standard termination rule at node count s.
 
     A bound state corresponds to a root in whatever unknown (energy,
     separation constant) the caller embedded in the template
-    coefficients.  The BETA3_ZERO rule is only valid when b3 == 0
-    exactly; its b3-proportional terms are nevertheless evaluated
-    literally, so they vanish identically there.
+    coefficients.  With b3 = 0 the b3-proportional terms vanish
+    identically, which is the rule that terminates a confluent series.
     """
     if s < 0 or int(s) != s:
         raise DomainError(f"s must be a non-negative integer, got {s}")
     p = derived.problem
     r8 = derived._root8()
     r9 = derived._root9()
-    if mode is QuantizationMode.STANDARD:
-        return (
-            p.beta2 * s
-            - (2.0 * s + 1.0) * derived.beta5
-            + (2.0 * s + 1.0) * (r9 + p.beta3 * r8)
-            + s * (s - 1.0) * p.beta3
-            + derived.beta7
-            + 2.0 * p.beta3 * derived.beta8
-            + 2.0 * r8 * r9
-        )
-    if p.beta3 != 0.0:
-        raise BranchError("the beta3-zero rule requires beta3 == 0 exactly")
     return (
         p.beta2 * s
-        + (1.0 - 2.0 * s) * derived.beta5
-        + (2.0 * s + 1.0) * (r9 - p.beta3 * r8)
+        - (2.0 * s + 1.0) * derived.beta5
+        + (2.0 * s + 1.0) * (r9 + p.beta3 * r8)
         + s * (s - 1.0) * p.beta3
         + derived.beta7
         + 2.0 * p.beta3 * derived.beta8
-        - 2.0 * r8 * r9
-    )
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """The argument substitution y -> intercept + slope * y."""
-
-    intercept: float
-    slope: float
-
-    def __call__(self, y: float) -> float:
-        return self.intercept + self.slope * y
-
-
-@dataclass(frozen=True)
-class WavefunctionFactors:
-    """Multiplicative structure of a bound solution of the template:
-
-        F(y) ~ y**exponent_y * (1 - b3 y)**exponent_w * P_s^(jacobi)(argument(y))
-    """
-
-    exponent_y: float
-    exponent_w: float
-    jacobi: JacobiParams
-    argument: AffineMap
-
-
-def wavefunction_factors(
-    derived: NUDerived, s: int, mode: QuantizationMode = QuantizationMode.STANDARD
-) -> WavefunctionFactors:
-    """Exponents, Jacobi indices and argument map of the bound solution.
-
-    Only defined for the standard branch with b3 != 0: both index
-    expressions divide by b3, so the b3 = 0 problems must assemble their
-    confluent (Laguerre-type) solutions directly from their own closed
-    forms.  That case raises ``BranchError`` by contract.
-    """
-    p = derived.problem
-    if mode is QuantizationMode.BETA3_ZERO or p.beta3 == 0.0:
-        raise BranchError(
-            "wavefunction factors divide by beta3; assemble the confluent "
-            "form directly for beta3 == 0 problems"
-        )
-    alpha = derived.beta10 - 1.0
-    beta = derived.beta11 / p.beta3 - derived.beta10 - 1.0
-    return WavefunctionFactors(
-        exponent_y=derived.beta12,
-        exponent_w=-derived.beta12 - derived.beta13 / p.beta3,
-        jacobi=JacobiParams(degree=int(s), alpha=alpha, beta=beta),
-        argument=AffineMap(1.0, -2.0 * p.beta3),
+        + 2.0 * r8 * r9
     )
 
 

@@ -62,6 +62,8 @@ ONE_D = "1d"
 VARIANT_DERIVED = "derived"
 VARIANT_PAPER = "paper"
 
+TAIL_RTOL = 1e-14  # relative accuracy a direct sum certifies
+
 
 def _check_mode(mode: str) -> None:
     if mode not in (THREE_D, ONE_D):
@@ -83,7 +85,7 @@ class PartitionSpec:
     """How to evaluate Z: ladder, temperature, truncation, order, variant.
 
     ``cutoff`` of None means auto-select the smallest truncation whose
-    tail bound certifies ``tail_rtol`` relative accuracy.  ``variant``
+    tail bound certifies ``TAIL_RTOL`` relative accuracy.  ``variant``
     only matters for the 1d closed form (see ``em_coefficients``).
     """
 
@@ -92,7 +94,6 @@ class PartitionSpec:
     cutoff: int | None = None
     em_order: int = 2
     variant: str = VARIANT_DERIVED
-    tail_rtol: float = 1e-14
 
     def __post_init__(self):
         _check_mode(self.mode)
@@ -144,24 +145,24 @@ def _tail_bound(mode: str, n0: int, x: float) -> float:
     return lead * (c * c / r + 2.0 * c * x / r ** 2 + x * (1.0 + x) / r ** 3)
 
 
-def suggested_cutoff(mode: str, alpha_bar: float, tail_rtol: float = 1e-14) -> int:
-    """Smallest truncation index whose tail bound meets tail_rtol.
+def suggested_cutoff(mode: str, alpha_bar: float) -> int:
+    """Smallest truncation index whose tail bound meets TAIL_RTOL.
 
     Uses Z >= 1 (the first retained term), so a tail bound below
-    tail_rtol is below tail_rtol times the partial sum.
+    TAIL_RTOL is below TAIL_RTOL times the partial sum.
     """
     _check_mode(mode)
     _check_alpha(alpha_bar)
     x = _boltzmann_factor(mode, alpha_bar)
     hi = 16
-    while _tail_bound(mode, hi, x) > tail_rtol:
+    while _tail_bound(mode, hi, x) > TAIL_RTOL:
         hi *= 2
         if hi > 10 ** 8:
-            raise ConvergenceError(f"tail bound will not reach {tail_rtol} at alpha={alpha_bar}")
+            raise ConvergenceError(f"tail bound will not reach {TAIL_RTOL} at alpha={alpha_bar}")
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _tail_bound(mode, mid, x) > tail_rtol:
+        if _tail_bound(mode, mid, x) > TAIL_RTOL:
             lo = mid
         else:
             hi = mid
@@ -183,15 +184,15 @@ def partition_direct(spec: PartitionSpec) -> PartitionValue:
     """
     x = _boltzmann_factor(spec.mode, spec.alpha_bar)
     if spec.cutoff is None:
-        n0 = suggested_cutoff(spec.mode, spec.alpha_bar, spec.tail_rtol)
+        n0 = suggested_cutoff(spec.mode, spec.alpha_bar)
     else:
         n0 = int(spec.cutoff)
     z = float(_series_terms(spec.mode, spec.alpha_bar, n0).sum())
     tail = _tail_bound(spec.mode, n0, x)
-    if tail > spec.tail_rtol * z:
+    if tail > TAIL_RTOL * z:
         raise ConvergenceError(
-            f"cutoff {n0} leaves tail bound {tail:.3e} > {spec.tail_rtol:.1e} * Z",
-            suggested_cutoff=suggested_cutoff(spec.mode, spec.alpha_bar, spec.tail_rtol),
+            f"cutoff {n0} leaves tail bound {tail:.3e} > {TAIL_RTOL:.1e} * Z",
+            suggested_cutoff=suggested_cutoff(spec.mode, spec.alpha_bar),
         )
     return PartitionValue(Z=z, method="direct", tail_bound=tail)
 

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
-from .nu_solver import NUProblem, QuantizationMode, derive, quantization_residual, solve_bracketed
+from .nu_solver import NUProblem, derive, quantization_residual, solve_bracketed
 from .specfun import Hyp1F1Terminating, JacobiParams, gamma_ratio_prefactor, hyp1f1_terminating, jacobi_poly
 
 __all__ = [
@@ -168,7 +168,7 @@ def angular_constant_from_quantization(p: PotentialParams, s: int, m: int) -> fl
 
     def residual(separation_constant: float) -> float:
         d = derive(angular_problem(p, m, separation_constant))
-        return quantization_residual(d, s, QuantizationMode.STANDARD)
+        return quantization_residual(d, s)
 
     root = solve_bracketed(residual, 0.0, 8.0 * (s + 2.0) ** 2)
     ell_eff = -0.5 + math.sqrt(0.25 + root)
@@ -208,7 +208,7 @@ def radial_energy_from_quantization(n: int, ell: float) -> float:
     """
 
     def residual(e_over_xi: float) -> float:
-        return quantization_residual(derive(radial_problem(ell, e_over_xi)), n, QuantizationMode.STANDARD)
+        return quantization_residual(derive(radial_problem(ell, e_over_xi)), n)
 
     return solve_bracketed(residual, 0.0, 8.0 * (n + ell + 2.0))
 
@@ -232,8 +232,10 @@ SPECIAL_CASES = ("a2_only", "a3_only", "oscillator")
 def energy_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -> float:
     """Energy xi [2(N + ell) + 3] for the reduced-coupling cases.
 
-    The integer ell is built from the case-specific angular constants
-    (floor reading of the bracket):
+    Each case only checks that the couplings it drops are zero; the
+    integer ell is then the floor reading ``angular_solution(p, s, m).ell_int``
+    of the general angular constants, which those zeros reduce to
+    the case's closed form:
 
     * ``a2_only``    (requires a3 = 0): Lambda keeps a2 only, L = -1/2 + Lambda + s
     * ``a3_only``    (requires a2 = 0): Lambda keeps a3 only,
@@ -250,28 +252,18 @@ def energy_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -
         raise DomainError(f"N must be a non-negative integer, got {N}")
     if s < 0 or int(s) != s or m < 0 or int(m) != m:
         raise DomainError("s and m must be non-negative integers")
-    two_m_over_h2 = 2.0 * p.mass / p.hbar ** 2
     if case == "a2_only":
         if p.a3 != 0.0:
             raise UsageError("a2_only case requires a3 == 0")
-        lam = math.sqrt(1.0 + m * m + two_m_over_h2 * p.a2 ** 2)
-        L = -0.5 + lam + s
     elif case == "a3_only":
         if p.a2 != 0.0:
             raise UsageError("a3_only case requires a2 == 0")
-        lam = math.sqrt(1.0 + m * m + two_m_over_h2 * p.a3 ** 2)
-        disc = (1.0 + 2.0 * lam + 2.0 * s) ** 2 - 8.0 * p.mass * p.a3 ** 2 / p.hbar ** 2
-        if disc < 0.0:
-            raise DomainError(f"no real angular solution: discriminant {disc} < 0")
-        L = -1.0 + 0.5 * math.sqrt(disc)
     elif case == "oscillator":
         if p.a2 != 0.0 or p.a3 != 0.0:
             raise UsageError("oscillator case requires a2 == a3 == 0")
-        lam = math.sqrt(1.0 + m * m)
-        L = -0.5 + lam + s
     else:
         raise UsageError(f"unknown case {case!r}; expected one of {SPECIAL_CASES}")
-    ell = math.floor(L + 0.5)
+    ell = angular_solution(p, s, m).ell_int
     return p.xi * (2.0 * (N + ell) + 3.0)
 
 

@@ -7,12 +7,16 @@ import math
 import pytest
 
 from ringosc import verification
-from ringosc.cli import FIGURES, FigureDataset, RunManifest, main, render_csv, run
+from ringosc.cli import FIGURES, RunManifest, main, render_csv, run
 from ringosc.errors import UsageError
 
 
 def read_rows(path):
-    lines = path.read_text().strip().split("\n")
+    return parse_csv(path.read_text())
+
+
+def parse_csv(text):
+    lines = text.strip().split("\n")
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
@@ -120,9 +124,11 @@ def test_sweep_figure_f4(tmp_path, capsys):
         ["sweep", "--figure", "f4", "--alpha-min", "0.5", "--alpha-max", "100", "--points", "500", "--out", str(out)]
     )
     assert rc == 0
-    dataset = FigureDataset.from_csv("F4_specific_heat", out.read_text())
-    assert dataset.columns == ("alpha_bar", "C_bar")
-    assert abs(dataset.rows[-1][1] - 3.0) / 3.0 < 1e-2
+    header, rows = read_rows(out)
+    assert header == ["alpha_bar", "C_bar"]
+    alphas = [float(r[0]) for r in rows]
+    assert len(alphas) == 500 and all(b > a for a, b in zip(alphas, alphas[1:]))
+    assert abs(float(rows[-1][1]) - 3.0) / 3.0 < 1e-2
     err = capsys.readouterr().err
     assert "no first-order transition signature" in err
 
@@ -161,23 +167,15 @@ def test_sweep_single_point_skips_summary(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
-# ----------------------------------------------------- datasets, manifests
-
-
-def test_figure_dataset_validation():
-    with pytest.raises(UsageError):
-        FigureDataset("F4_specific_heat", ("alpha_bar", "F_bar"), ())
-    with pytest.raises(UsageError):
-        FigureDataset("F4_specific_heat", ("alpha_bar", "C_bar"), ((2.0, 1.0), (1.0, 1.0)))
-    with pytest.raises(UsageError):
-        FigureDataset("F9", ("alpha_bar", "C_bar"), ())
+# -------------------------------------------------------- csv, manifests
 
 
 def test_csv_round_trip_exact():
+    columns = FIGURES["f1"][1]
     rows = tuple((float(a), math.sin(a) / 7.0) for a in range(1, 6))
-    dataset = FigureDataset("F1_free_energy", FIGURES["f1"][1], rows)
-    again = FigureDataset.from_csv("F1_free_energy", dataset.to_csv())
-    assert again == dataset
+    header, cells = parse_csv(render_csv(columns, rows))
+    assert tuple(header) == columns
+    assert tuple(tuple(float(cell) for cell in row) for row in cells) == rows
 
 
 def test_manifest_round_trip():

@@ -5,18 +5,8 @@ import math
 import pytest
 
 from ringosc.errors import BranchError, ConvergenceError, DomainError
-from ringosc.nu_solver import (
-    NUProblem,
-    QuantizationMode,
-    derive,
-    quantization_residual,
-    solve_bracketed,
-    wavefunction_factors,
-)
+from ringosc.nu_solver import NUProblem, derive, quantization_residual, solve_bracketed
 from ringosc.spectrum import PotentialParams, angular_problem, angular_solution, radial_problem
-
-STANDARD = QuantizationMode.STANDARD
-BETA3_ZERO = QuantizationMode.BETA3_ZERO
 
 
 # ------------------------------------------------------------------ derive
@@ -99,20 +89,7 @@ def test_derive_sensitivity_matches_analytic_partials():
 
 def test_residual_trivial_zero():
     d = derive(NUProblem(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    assert quantization_residual(d, 0, STANDARD) == 0.0
-    assert quantization_residual(d, 0, BETA3_ZERO) == 0.0
-
-
-@pytest.mark.parametrize("s,ell", [(0, 0.0), (1, 2.0), (2, 1.0)])
-def test_beta3_zero_rule_root_on_literal_radial_template(s, ell):
-    # choose the eigenvalue slot so sqrt(beta8) = s + 5/4 - mu; the
-    # beta3-zero rule then vanishes identically
-    mu = 0.5 * (ell + 1.0)
-    target = s + 1.25 - mu
-    assert target >= 0.0
-    eps = (mu + 0.25) ** 2 + 0.25 - target ** 2
-    d = derive(NUProblem(2.0 * mu + 0.5, 1.0, 0.0, 0.0, 0.0, mu + 0.25 - eps))
-    assert quantization_residual(d, s, BETA3_ZERO) == pytest.approx(0.0, abs=1e-13)
+    assert quantization_residual(d, 0) == 0.0
 
 
 @pytest.mark.parametrize("a2,a3", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
@@ -123,14 +100,14 @@ def test_standard_rule_annihilated_by_closed_form_L(a2, a3, s, m):
     sol = angular_solution(p, s, m)
     lam = sol.ell_eff * (sol.ell_eff + 1.0)
     d = derive(angular_problem(p, m, lam))
-    assert quantization_residual(d, s, STANDARD) == pytest.approx(0.0, abs=1e-10)
+    assert quantization_residual(d, s) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_radial_energy_root_is_linear_ladder():
     for n in range(4):
         for ell in range(4):
             def residual(e):
-                return quantization_residual(derive(radial_problem(ell, e)), n, STANDARD)
+                return quantization_residual(derive(radial_problem(ell, e)), n)
 
             root = solve_bracketed(residual, 0.0, 60.0)
             target = 4.0 * n + 2.0 * ell + 3.0
@@ -140,69 +117,37 @@ def test_radial_energy_root_is_linear_ladder():
 def test_negative_beta8_raises_branch_error():
     d = derive(NUProblem(0.0, 0.0, 0.0, 0.0, 0.0, -1.0))
     assert d.beta8 < 0.0  # derive itself stays total
-    with pytest.raises(BranchError):
-        quantization_residual(d, 0, STANDARD)
-    with pytest.raises(BranchError):
-        _ = d.beta10
-
-
-def test_beta3_zero_mode_requires_beta3_zero():
-    d = derive(NUProblem(0.0, 0.0, 0.5, 0.1, 0.1, 0.1))
-    with pytest.raises(BranchError):
-        quantization_residual(d, 0, BETA3_ZERO)
+    with pytest.raises(BranchError, match="beta8"):
+        quantization_residual(d, 0)
+    d = derive(NUProblem(1.0, 0.0, 0.0, -1.0, 0.0, 0.0))
+    assert d.beta8 == 0.0 and d.beta9 < 0.0
+    with pytest.raises(BranchError, match="beta9"):
+        quantization_residual(d, 0)
 
 
 def test_residual_rejects_negative_s():
     d = derive(NUProblem(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
-        quantization_residual(d, -1, STANDARD)
+        quantization_residual(d, -1)
 
 
 # --------------------------------------------------------------- factors
 
 
 def test_angular_factors_are_symmetric_jacobi():
+    # the NU Jacobi indices of the bound solution, from beta10 and beta11
+    # of the angular template, are (Lambda, Lambda), the indices that
+    # angular_wavefunction uses
     p = PotentialParams(a1=1.0, a2=1.0, a3=1.0)
     m, s = 1, 2
     sol = angular_solution(p, s, m)
-    lam = sol.ell_eff * (sol.ell_eff + 1.0)
-    d = derive(angular_problem(p, m, lam))
-    factors = wavefunction_factors(d, s, STANDARD)
-    assert factors.jacobi.degree == s
-    assert factors.jacobi.alpha == pytest.approx(sol.Lambda, rel=1e-10)
-    assert factors.jacobi.beta == pytest.approx(sol.Lambda, rel=1e-10)
-    assert factors.argument(0.0) == 1.0
-    assert factors.argument.slope == pytest.approx(-1.0, rel=1e-15)
-    assert factors.exponent_y == pytest.approx(0.5 * (1.0 + sol.Lambda), rel=1e-10)
-    assert factors.exponent_w == pytest.approx(0.5 * (1.0 + sol.Lambda), rel=1e-10)
-
-
-def test_unit_prefactor_factors():
-    # beta3 = 1/2 with beta12 = beta13 = 0 leaves only the Jacobi factor
-    d = derive(NUProblem(1.0, 2.0, 0.5, 0.0, 0.0, 0.0))
-    assert d.beta12 == pytest.approx(0.0, abs=1e-15)
-    assert d.beta13 == pytest.approx(0.0, abs=1e-15)
-    factors = wavefunction_factors(d, 1, STANDARD)
-    assert factors.exponent_y == pytest.approx(0.0, abs=1e-15)
-    assert factors.exponent_w == pytest.approx(0.0, abs=1e-15)
-
-
-def test_radial_factors_rejected():
-    d = derive(radial_problem(1.0, 9.0))
-    with pytest.raises(BranchError):
-        wavefunction_factors(d, 1, STANDARD)
-    with pytest.raises(BranchError):
-        wavefunction_factors(d, 1, BETA3_ZERO)
-
-
-def test_starred_parameters():
-    d = derive(NUProblem(0.0, 0.0, 0.5, 0.3, -1.2, 2.0))
-    r8 = math.sqrt(d.beta8)
-    r9 = math.sqrt(d.beta9)
-    assert d.beta10s == pytest.approx(0.0 + 2.0 * d.beta4 - 2.0 * r8, rel=1e-14)
-    assert d.beta11s == pytest.approx(0.0 - 2.0 * d.beta5 - 2.0 * (r9 - 0.5 * r8), rel=1e-14)
-    assert d.beta12s == pytest.approx(d.beta4 - r8, rel=1e-14)
-    assert d.beta13s == pytest.approx(d.beta5 - (r9 - 0.5 * r8), rel=1e-14)
+    d = derive(angular_problem(p, m, sol.ell_eff * (sol.ell_eff + 1.0)))
+    b1, b2, b3 = d.problem.beta1, d.problem.beta2, d.problem.beta3
+    r8, r9 = math.sqrt(d.beta8), math.sqrt(d.beta9)
+    beta10 = b1 + 2.0 * d.beta4 + 2.0 * r8
+    beta11 = b2 - 2.0 * d.beta5 + 2.0 * (r9 + b3 * r8)
+    assert beta10 - 1.0 == pytest.approx(sol.Lambda, rel=1e-10)
+    assert beta11 / b3 - beta10 - 1.0 == pytest.approx(sol.Lambda, rel=1e-10)
 
 
 # ------------------------------------------------------------ root finder

@@ -12,7 +12,6 @@ from ringosc.thermo import (
     SweepSpec,
     ThermoPoint,
     continuity_scan,
-    high_t_asymptotics,
     scan_jumps,
     sweep,
     thermo_point,
@@ -255,18 +254,11 @@ def test_high_t_limit_1d_is_three_times_smaller():
     assert pt.C_bar == pytest.approx(1.0, rel=1e-2)
 
 
-def test_high_t_asymptotics_values():
-    asym = high_t_asymptotics(100.0)
-    assert asym.Z == pytest.approx(250000.0, rel=1e-15)
-    assert asym.U == pytest.approx(300.0, rel=1e-15)
-    assert asym.C == 3.0
-    assert high_t_asymptotics(1.0).C == high_t_asymptotics(777.0).C  # alpha-free
-
-
 def test_em_z_approaches_asymptote_monotonically():
+    # the leading high-temperature behaviour of the 3d ladder is Z ~ alpha^3/4
     ratios = []
     for alpha in (10.0, 20.0, 50.0, 100.0):
-        ratios.append(em_z_derivatives(THREE_D, alpha)[0] / high_t_asymptotics(alpha).Z)
+        ratios.append(em_z_derivatives(THREE_D, alpha)[0] / (alpha ** 3 / 4.0))
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, rel=0.05)
 
@@ -328,8 +320,6 @@ def test_sweep_spec_validation():
         SweepSpec(alphas=(1.0, 0.5))
     with pytest.raises(DomainError):
         SweepSpec(alphas=(-1.0, 0.5))
-    with pytest.raises(DomainError):
-        SweepSpec(alphas=(1.0, 2.0), fd_step_rel=0.5)
     with pytest.raises(UsageError):
         SweepSpec.from_grid(1.0, 2.0, 5, "cubic")
 
