@@ -23,17 +23,19 @@ from dataclasses import dataclass
 from . import verification
 from .errors import ConvergenceError, DomainError, SweepError, UsageError
 from .partition import (
+    MODES,
     ONE_D,
     THREE_D,
     VARIANT_DERIVED,
     VARIANT_PAPER,
+    VARIANTS,
     PartitionSpec,
     partition_closed_form_1d,
     partition_direct,
     partition_em,
 )
-from .spectrum import PotentialParams, angular_solution, energy_special_case, level
-from .thermo import SweepSpec, continuity_scan, sweep
+from .spectrum import SPECIAL_CASES, PotentialParams, angular_solution, energy_special_case, level
+from .thermo import SPACINGS, Z_METHODS, SweepSpec, continuity_scan, sweep
 
 __all__ = ["RunManifest", "FIGURES", "main", "run"]
 
@@ -47,6 +49,19 @@ FIGURES = {
 
 PARTITION_METHODS = ("direct", "em", "em-paper", "exact")
 FORMATS = ("csv", "json")
+ELL_MODES = ("integer", "real")
+
+# the values each choice field of RunManifest accepts; the flags offer the same
+_CHOICES = {
+    "mode": MODES,
+    "format": FORMATS,
+    "ell_mode": ELL_MODES,
+    "case": SPECIAL_CASES,
+    "variant": VARIANTS,
+    "spacing": SPACINGS,
+    "z_method": Z_METHODS,
+    "figure": tuple(FIGURES),
+}
 
 # the JSON types each annotation of RunManifest accepts; bool is an int
 # subclass but never a valid number here
@@ -112,10 +127,10 @@ class RunManifest:
             raise UsageError(f"manifest field 'methods' must hold strings, got {list(self.methods)!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if self.figure is not None and self.figure not in FIGURES:
-            raise UsageError(f"unknown figure {self.figure!r}; expected one of {tuple(FIGURES)}")
-        if self.format not in FORMATS:
-            raise UsageError(f"format must be one of {FORMATS}, got {self.format!r}")
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value is not None and value not in choices:  # None: no case, no figure
+                raise UsageError(f"manifest field {name!r} must be one of {choices}, got {value!r}")
         if self.n_max < 0 or self.ell_max < 0:
             raise DomainError(f"n_max and ell_max must be >= 0, got {self.n_max} and {self.ell_max}")
 
@@ -240,6 +255,15 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     return 0
 
 
+def _reject_couplings(manifest: RunManifest) -> None:
+    # the level ladder 4n + 2 ell + 3 of Z runs over integer ell, whatever a2 and a3
+    if manifest.a2 != 0.0 or manifest.a3 != 0.0:
+        raise UsageError(
+            f"{manifest.subcommand} takes only a2 = a3 = 0, since its level ladder does not depend on them; "
+            f"got a2={manifest.a2}, a3={manifest.a3}"
+        )
+
+
 def _partition_value(method: str, manifest: RunManifest, alpha: float):
     spec = PartitionSpec(
         mode=manifest.mode,
@@ -265,7 +289,10 @@ def _partition_value(method: str, manifest: RunManifest, alpha: float):
 def cmd_partition(manifest: RunManifest) -> int:
     if not manifest.alphas:
         raise UsageError("partition requires at least one --alpha value")
+    _reject_couplings(manifest)
     methods = tuple(manifest.methods)
+    if "em" not in methods and (manifest.em_order != 2 or manifest.variant != VARIANT_DERIVED):
+        raise UsageError("em_order and variant only apply to the 'em' method, and methods does not list it")
     columns = ["alpha_bar"] + [f"Z_{m.replace('-', '_')}" for m in methods]
     if len(methods) > 1:
         for i in range(len(methods)):
@@ -285,6 +312,7 @@ def cmd_partition(manifest: RunManifest) -> int:
 
 
 def cmd_sweep(manifest: RunManifest) -> int:
+    _reject_couplings(manifest)
     mode = manifest.mode
     if manifest.figure is not None:
         _, columns = FIGURES[manifest.figure]
@@ -366,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--a3", type=float, default=0.0)
         sp.add_argument("--mass", type=float, default=1.0)
         sp.add_argument("--hbar", type=float, default=1.0)
-        sp.add_argument("--mode", choices=(ONE_D, THREE_D), default=THREE_D)
+        sp.add_argument("--mode", choices=MODES, default=THREE_D)
         sp.add_argument("--format", choices=FORMATS, default="csv")
         sp.add_argument("--out", default=None)
 
@@ -375,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=3)
     sp.add_argument("--ell-max", type=int, default=3)
     sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--ell-mode", choices=("integer", "real"), default="integer")
-    sp.add_argument("--case", choices=("a2_only", "a3_only", "oscillator"), default=None)
+    sp.add_argument("--ell-mode", choices=ELL_MODES, default="integer")
+    sp.add_argument("--case", choices=SPECIAL_CASES, default=None)
 
     sp = sub.add_parser("partition", help="partition-function comparison")
     add_shared(sp)
@@ -384,16 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--methods", type=_parse_methods, default=("direct", "em"), metavar="LIST")
     sp.add_argument("--cutoff", type=int, default=None)
     sp.add_argument("--em-order", type=int, default=2)
-    sp.add_argument("--variant", choices=(VARIANT_DERIVED, VARIANT_PAPER), default=VARIANT_DERIVED)
+    sp.add_argument("--variant", choices=VARIANTS, default=VARIANT_DERIVED)
 
     sp = sub.add_parser("sweep", help="temperature sweep / figure data")
     add_shared(sp)
     sp.add_argument("--alpha-min", type=float, default=0.5)
     sp.add_argument("--alpha-max", type=float, default=100.0)
     sp.add_argument("--points", type=int, default=200)
-    sp.add_argument("--spacing", choices=("lin", "log"), default="log")
-    sp.add_argument("--z-method", choices=("direct", "em"), default="direct")
-    sp.add_argument("--variant", choices=(VARIANT_DERIVED, VARIANT_PAPER), default=VARIANT_DERIVED)
+    sp.add_argument("--spacing", choices=SPACINGS, default="log")
+    sp.add_argument("--z-method", choices=Z_METHODS, default="direct")
+    sp.add_argument("--variant", choices=VARIANTS, default=VARIANT_DERIVED)
     sp.add_argument("--figure", choices=tuple(FIGURES), default=None)
 
     sp = sub.add_parser("verify", help="run the cross-check suite")

@@ -42,6 +42,7 @@ from .specfun import BERNOULLI_K_MAX, bernoulli
 __all__ = [
     "THREE_D",
     "ONE_D",
+    "MODES",
     "PartitionSpec",
     "PartitionValue",
     "partition_direct",
@@ -54,20 +55,23 @@ __all__ = [
     "convergence_integral",
     "VARIANT_DERIVED",
     "VARIANT_PAPER",
+    "VARIANTS",
 ]
 
 THREE_D = "3d"
 ONE_D = "1d"
+MODES = (THREE_D, ONE_D)
 
 VARIANT_DERIVED = "derived"
 VARIANT_PAPER = "paper"
+VARIANTS = (VARIANT_DERIVED, VARIANT_PAPER)
 
 TAIL_RTOL = 1e-14  # relative accuracy a direct sum certifies
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in (THREE_D, ONE_D):
-        raise UsageError(f"mode must be {THREE_D!r} or {ONE_D!r}, got {mode!r}")
+    if mode not in MODES:
+        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def _check_alpha(alpha_bar) -> None:
@@ -102,8 +106,8 @@ class PartitionSpec:
             raise DomainError(f"cutoff must be >= 0, got {self.cutoff}")
         if not 1 <= self.em_order <= BERNOULLI_K_MAX:
             raise DomainError(f"em_order must be in 1..{BERNOULLI_K_MAX}, got {self.em_order}")
-        if self.variant not in (VARIANT_DERIVED, VARIANT_PAPER):
-            raise UsageError(f"variant must be 'derived' or 'paper', got {self.variant!r}")
+        if self.variant not in VARIANTS:
+            raise UsageError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 @dataclass(frozen=True)

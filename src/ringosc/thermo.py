@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, SweepError, UsageError
 from .partition import (
-    ONE_D,
+    MODES,
     THREE_D,
     VARIANT_DERIVED,
     em_coefficients,
@@ -58,10 +58,12 @@ __all__ = [
     "sweep",
     "scan_jumps",
     "continuity_scan",
+    "Z_METHODS",
+    "SPACINGS",
 ]
 
-MODES = (THREE_D, ONE_D)
 Z_METHODS = ("direct", "em")
+SPACINGS = ("log", "lin")
 DERIVATIVE_SCHEMES = ("analytic", "central_difference")
 FD_STEP_REL = 1e-5  # relative step of the central differences
 
@@ -174,14 +176,14 @@ class SweepSpec:
             raise DomainError(f"points must be >= 1, got {points}")
         if not 0.0 < alpha_min <= alpha_max:
             raise DomainError(f"need 0 < alpha_min <= alpha_max, got [{alpha_min}, {alpha_max}]")
+        if spacing not in SPACINGS:
+            raise UsageError(f"spacing must be one of {SPACINGS}, got {spacing!r}")
         if points == 1:
             grid = np.array([alpha_min])
         elif spacing == "log":
             grid = np.geomspace(alpha_min, alpha_max, points)
-        elif spacing == "lin":
-            grid = np.linspace(alpha_min, alpha_max, points)
         else:
-            raise UsageError(f"spacing must be 'lin' or 'log', got {spacing!r}")
+            grid = np.linspace(alpha_min, alpha_max, points)
         return SweepSpec(alphas=tuple(float(a) for a in grid), **kwargs)
 
 

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from ringosc import verification
-from ringosc.cli import FIGURES, RunManifest, main, render_csv, run
+from ringosc.cli import _CHOICES, FIGURES, RunManifest, build_parser, main, render_csv, run
 from ringosc.errors import UsageError
 
 
@@ -278,6 +278,20 @@ def test_exit_code_io_error(tmp_path):
         ({"subcommand": "sweep", "mode": "1d", "z_method": "direct", "variant": "paper"}, 2),
         ({"subcommand": "sweep", "figure": "f5", "variant": "paper"}, 2),
         ({"subcommand": "sweep", "variant": "magic"}, 2),
+        # every choice field is checked against the tuple its flag offers
+        ({"subcommand": "spectrum", "ell_mode": "reel"}, 2),
+        ({"subcommand": "spectrum", "case": "a4_only"}, 2),
+        ({"subcommand": "spectrum", "mode": "2d"}, 2),
+        ({"subcommand": "sweep", "spacing": "cubic"}, 2),
+        ({"subcommand": "sweep", "z_method": "magic"}, 2),
+        # inputs that only the 'em' method reads, without it
+        ({"subcommand": "partition", "mode": "3d", "alphas": [1], "methods": ["direct"], "variant": "paper"}, 2),
+        ({"subcommand": "partition", "mode": "1d", "alphas": [1], "methods": ["exact"], "em_order": 5}, 2),
+        ({"subcommand": "partition", "mode": "1d", "alphas": [1], "methods": ["em-paper"], "em_order": 3}, 2),
+        # couplings that the level ladder of Z does not depend on
+        ({"subcommand": "partition", "alphas": [1], "a2": 3}, 2),
+        ({"subcommand": "partition", "alphas": [1], "methods": ["em"], "a3": 0.5}, 2),
+        ({"subcommand": "sweep", "a3": 0.5}, 2),
     ],
 )
 def test_bad_manifest_field_exit_code(tmp_path, capsys, fields, code):
@@ -311,6 +325,18 @@ def test_negative_n_max_flag_is_domain_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_flag_choices_are_the_manifest_choices():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "subcommand"]
+    checked = set()
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            if action.choices is not None:
+                assert tuple(action.choices) == _CHOICES[action.dest]
+                checked.add(action.dest)
+    assert checked == set(_CHOICES)
 
 
 def test_no_subcommand_is_usage_error():

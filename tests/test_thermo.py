@@ -322,6 +322,8 @@ def test_sweep_spec_validation():
         SweepSpec(alphas=(-1.0, 0.5))
     with pytest.raises(UsageError):
         SweepSpec.from_grid(1.0, 2.0, 5, "cubic")
+    with pytest.raises(UsageError):
+        SweepSpec.from_grid(1.0, 1.0, 1, "cubic")  # checked on a one-point grid too
 
 
 def test_thermo_point_validation():
