@@ -39,12 +39,14 @@ from .thermo import SPACINGS, Z_METHODS, SweepSpec, continuity_scan, sweep
 
 __all__ = ["RunManifest", "FIGURES", "main", "run"]
 
+# the columns of each figure: free energy, mean energy, entropy and specific
+# heat of the 3d ladder, then the four-column panel of the 1d ladder
 FIGURES = {
-    "f1": ("F1_free_energy", ("alpha_bar", "F_bar")),
-    "f2": ("F2_mean_energy", ("alpha_bar", "U_bar")),
-    "f3": ("F3_entropy", ("alpha_bar", "S_bar")),
-    "f4": ("F4_specific_heat", ("alpha_bar", "C_bar")),
-    "f5": ("F5_oneD_panel", ("alpha_bar", "F_bar", "U_bar", "S_bar", "C_bar")),
+    "f1": ("alpha_bar", "F_bar"),
+    "f2": ("alpha_bar", "U_bar"),
+    "f3": ("alpha_bar", "S_bar"),
+    "f4": ("alpha_bar", "C_bar"),
+    "f5": ("alpha_bar", "F_bar", "U_bar", "S_bar", "C_bar"),
 }
 
 PARTITION_METHODS = ("direct", "em", "em-paper", "exact")
@@ -315,7 +317,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
     _reject_couplings(manifest)
     mode = manifest.mode
     if manifest.figure is not None:
-        _, columns = FIGURES[manifest.figure]
+        columns = FIGURES[manifest.figure]
         mode = ONE_D if manifest.figure == "f5" else THREE_D
     else:
         columns = ("alpha_bar", "F_bar", "U_bar", "S_bar", "C_bar")

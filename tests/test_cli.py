@@ -171,7 +171,7 @@ def test_sweep_single_point_skips_summary(tmp_path, capsys):
 
 
 def test_csv_round_trip_exact():
-    columns = FIGURES["f1"][1]
+    columns = FIGURES["f1"]
     rows = tuple((float(a), math.sin(a) / 7.0) for a in range(1, 6))
     header, cells = parse_csv(render_csv(columns, rows))
     assert tuple(header) == columns
