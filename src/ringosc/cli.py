@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -65,15 +66,33 @@ _CHOICES = {
     "figure": tuple(FIGURES),
 }
 
-# the JSON types each annotation of RunManifest accepts; bool is an int
-# subclass but never a valid number here
+# the fields each subcommand reads, in the order of its flags; every other
+# field of its manifest must keep its default
+_POTENTIAL = ("a1", "a2", "a3", "mass", "hbar")
+_OUTPUT = ("format", "out")
+SUBCOMMAND_FIELDS = {
+    "spectrum": _POTENTIAL + _OUTPUT + ("n_max", "ell_max", "m", "ell_mode", "case"),
+    "partition": _POTENTIAL + ("mode",) + _OUTPUT + ("alphas", "methods", "cutoff", "em_order", "variant"),
+    "sweep": _POTENTIAL + ("mode",) + _OUTPUT
+    + ("alpha_min", "alpha_max", "points", "spacing", "z_method", "variant", "figure"),
+    "verify": (),
+}
+
+# the partition inputs that one method alone reads; 'em-paper' fixes its own
+# order and variant
+_METHOD_FIELDS = {"em": ("em_order", "variant"), "direct": ("cutoff",)}
+
+# per annotation of RunManifest: the JSON types a manifest value may have
+# (bool is an int subclass but never a valid number here), the JSON types of
+# a list's items, and what converts the text of a flag or of one list item
 _FIELD_TYPES = {
-    "float": (int, float),
-    "int": (int,),
-    "str": (str,),
-    "str | None": (str, type(None)),
-    "int | None": (int, type(None)),
-    "tuple": (tuple, list),
+    "float": ((int, float), None, float),
+    "int": ((int,), None, int),
+    "str": ((str,), None, str),
+    "str | None": ((str, type(None)), None, str),
+    "int | None": ((int, type(None)), None, int),
+    "tuple[float, ...]": ((tuple, list), (int, float), float),
+    "tuple[str, ...]": ((tuple, list), (str,), str),
 }
 
 
@@ -86,7 +105,10 @@ class RunManifest:
     """Complete, serializable description of one CLI run.
 
     Identical manifests produce byte-identical outputs; the manifest is
-    what lands in the JSON ``meta`` field.
+    what lands in the JSON ``meta`` field.  Each field is one input, and
+    ``build_parser`` makes its flag from it: the default, the type and the
+    choices are declared here alone.  A field that the subcommand does not
+    read (``SUBCOMMAND_FIELDS``) must keep its default.
     """
 
     subcommand: str
@@ -105,8 +127,8 @@ class RunManifest:
     ell_mode: str = "integer"
     case: str | None = None
     # partition
-    alphas: tuple = ()
-    methods: tuple = ("direct", "em")
+    alphas: tuple[float, ...] = ()
+    methods: tuple[str, ...] = ("direct", "em")
     cutoff: int | None = None
     em_order: int = 2
     variant: str = VARIANT_DERIVED
@@ -119,22 +141,40 @@ class RunManifest:
     figure: str | None = None
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
+        fields = dataclasses.fields(self)
+        for field in fields:
             value = getattr(self, field.name)
-            if not _is_a(value, _FIELD_TYPES[field.type]):
+            types, item_types, convert = _FIELD_TYPES[field.type]
+            if not _is_a(value, types) or (item_types and not all(_is_a(v, item_types) for v in value)):
                 raise UsageError(f"manifest field {field.name!r} must be of type {field.type}, got {value!r}")
-        if not all(_is_a(a, (int, float)) for a in self.alphas):
-            raise UsageError(f"manifest field 'alphas' must hold numbers, got {list(self.alphas)!r}")
-        if not all(_is_a(m, (str,)) for m in self.methods):
-            raise UsageError(f"manifest field 'methods' must hold strings, got {list(self.methods)!r}")
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "methods", tuple(self.methods))
+            if item_types:
+                object.__setattr__(self, field.name, tuple(convert(v) for v in value))
+        if self.subcommand not in SUBCOMMAND_FIELDS:
+            raise UsageError(f"unknown subcommand {self.subcommand!r}; expected one of {tuple(SUBCOMMAND_FIELDS)}")
+        # each input the run would ignore, with the condition under which it does
+        unread = {f.name: "" for f in fields[1:] if f.name not in SUBCOMMAND_FIELDS[self.subcommand]}
+        if self.figure is not None:
+            unread.setdefault("mode", " when 'figure' is given, which fixes the ladder")
+        if self.case is not None:
+            unread.setdefault("ell_mode", " when 'case' is given")
+        for method, names in _METHOD_FIELDS.items():
+            if method not in self.methods:
+                for name in names:
+                    unread.setdefault(name, f" when 'methods' does not list {method!r}")
+        for field in fields:
+            value = getattr(self, field.name)
+            if field.name in unread and value != field.default:
+                raise UsageError(
+                    f"{self.subcommand} does not read manifest field {field.name!r}{unread[field.name]}; got {value!r}"
+                )
         for name, choices in _CHOICES.items():
             value = getattr(self, name)
             if value is not None and value not in choices:  # None: no case, no figure
                 raise UsageError(f"manifest field {name!r} must be one of {choices}, got {value!r}")
-        if self.n_max < 0 or self.ell_max < 0:
-            raise DomainError(f"n_max and ell_max must be >= 0, got {self.n_max} and {self.ell_max}")
+        if any(method not in PARTITION_METHODS for method in self.methods):
+            raise UsageError(f"manifest field 'methods' must hold items of {PARTITION_METHODS}, got {self.methods!r}")
+        if min(self.n_max, self.ell_max, self.m) < 0:
+            raise DomainError(f"n_max, ell_max and m must be >= 0, got {self.n_max}, {self.ell_max} and {self.m}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -174,9 +214,7 @@ def _fmt_cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, int):  # a bool too
         return str(value)
     return f"{float(value):.17g}"
 
@@ -209,10 +247,18 @@ def _emit(manifest: RunManifest, columns, rows) -> None:
 
 
 def _params(manifest: RunManifest) -> PotentialParams:
-    return PotentialParams(a1=manifest.a1, a2=manifest.a2, a3=manifest.a3, mass=manifest.mass, hbar=manifest.hbar)
+    p = PotentialParams(a1=manifest.a1, a2=manifest.a2, a3=manifest.a3, mass=manifest.mass, hbar=manifest.hbar)
+    # the level ladder 4n + 2 ell + 3 of Z runs over integer ell, whatever a2 and a3
+    if manifest.subcommand != "spectrum" and (p.a2 != 0.0 or p.a3 != 0.0):
+        raise UsageError(
+            f"{manifest.subcommand} takes only a2 = a3 = 0, since its level ladder does not depend on them; "
+            f"got a2={p.a2}, a3={p.a3}"
+        )
+    return p
 
 
 def cmd_spectrum(manifest: RunManifest) -> int:
+    """level table"""
     p = _params(manifest)
     if manifest.case is not None:
         columns = ("N", "s", "m", "E_over_xi")
@@ -240,11 +286,7 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     rows = []
     for n in range(manifest.n_max + 1):
         for ell in range(manifest.ell_max + 1):
-            try:
-                sol = angular_solution(p, s=ell, m=manifest.m)
-            except DomainError:
-                rows.append((n, ell, ell, manifest.m, "", "", "", "", "", "", "no-angular-solution"))
-                continue
+            sol = angular_solution(p, s=ell, m=manifest.m)
             if manifest.ell_mode == "real":
                 e = 4.0 * n + 2.0 * sol.ell_eff + 3.0
                 rows.append((n, ell, sol.s, sol.m, sol.Lambda, sol.L, sol.ell_eff, e, "", "", "ok"))
@@ -255,15 +297,6 @@ def cmd_spectrum(manifest: RunManifest) -> int:
                 )
     _emit(manifest, columns, rows)
     return 0
-
-
-def _reject_couplings(manifest: RunManifest) -> None:
-    # the level ladder 4n + 2 ell + 3 of Z runs over integer ell, whatever a2 and a3
-    if manifest.a2 != 0.0 or manifest.a3 != 0.0:
-        raise UsageError(
-            f"{manifest.subcommand} takes only a2 = a3 = 0, since its level ladder does not depend on them; "
-            f"got a2={manifest.a2}, a3={manifest.a3}"
-        )
 
 
 def _partition_value(method: str, manifest: RunManifest, alpha: float):
@@ -281,40 +314,31 @@ def _partition_value(method: str, manifest: RunManifest, alpha: float):
     if method == "em-paper":
         # the alternate form exists for the 1d ladder at order 2 only
         return partition_em(dataclasses.replace(spec, em_order=2, variant=VARIANT_PAPER))
-    if method == "exact":
-        if manifest.mode != ONE_D:
-            raise UsageError("method 'exact' (geometric closed form) applies to the 1d ladder only")
-        return partition_closed_form_1d(alpha)
-    raise UsageError(f"unknown partition method {method!r}; expected one of {PARTITION_METHODS}")
+    # 'exact', the geometric closed form
+    if manifest.mode != ONE_D:
+        raise UsageError("method 'exact' (geometric closed form) applies to the 1d ladder only")
+    return partition_closed_form_1d(alpha)
 
 
 def cmd_partition(manifest: RunManifest) -> int:
+    """partition-function comparison"""
     if not manifest.alphas:
         raise UsageError("partition requires at least one --alpha value")
-    _reject_couplings(manifest)
-    methods = tuple(manifest.methods)
-    if "em" not in methods and (manifest.em_order != 2 or manifest.variant != VARIANT_DERIVED):
-        raise UsageError("em_order and variant only apply to the 'em' method, and methods does not list it")
-    columns = ["alpha_bar"] + [f"Z_{m.replace('-', '_')}" for m in methods]
-    if len(methods) > 1:
-        for i in range(len(methods)):
-            for j in range(i + 1, len(methods)):
-                columns.append(f"rd_{methods[i].replace('-', '_')}_{methods[j].replace('-', '_')}")
+    _params(manifest)
+    names = [m.replace("-", "_") for m in manifest.methods]
+    pairs = tuple(itertools.combinations(range(len(names)), 2))
+    columns = ["alpha_bar"] + [f"Z_{name}" for name in names] + [f"rd_{names[i]}_{names[j]}" for i, j in pairs]
     rows = []
     for alpha in manifest.alphas:
-        values = [_partition_value(m, manifest, alpha).Z for m in methods]
-        row = [alpha] + values
-        if len(methods) > 1:
-            for i in range(len(methods)):
-                for j in range(i + 1, len(methods)):
-                    row.append((values[i] - values[j]) / values[j])
-        rows.append(tuple(row))
+        values = [_partition_value(m, manifest, alpha).Z for m in manifest.methods]
+        rows.append(tuple([alpha] + values + [(values[i] - values[j]) / values[j] for i, j in pairs]))
     _emit(manifest, tuple(columns), rows)
     return 0
 
 
 def cmd_sweep(manifest: RunManifest) -> int:
-    _reject_couplings(manifest)
+    """temperature sweep / figure data"""
+    _params(manifest)
     mode = manifest.mode
     if manifest.figure is not None:
         columns = FIGURES[manifest.figure]
@@ -352,6 +376,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
 
 
 def cmd_verify(manifest: RunManifest) -> int:
+    """run the cross-check suite"""
     results = verification.run_all()
     failed = 0
     for res in results:
@@ -370,105 +395,35 @@ def cmd_verify(manifest: RunManifest) -> int:
     return 1 if failed else 0
 
 
-def _parse_alpha_list(text: str):
-    try:
-        return tuple(float(part) for part in text.split(",") if part)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}") from exc
+def _flag_type(annotation: str):
+    """What turns the text of a flag into a value of the annotated field."""
+    _, item_types, convert = _FIELD_TYPES[annotation]
+    if not item_types:
+        return convert
 
+    def comma_list(text):
+        return tuple(convert(part.strip()) for part in text.split(",") if part.strip())
 
-def _parse_methods(text: str):
-    methods = tuple(part.strip() for part in text.split(",") if part.strip())
-    for m in methods:
-        if m not in PARTITION_METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {m!r}; pick from {PARTITION_METHODS}")
-    return methods
+    return comma_list
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ringosc", description=__doc__.split("\n\n")[0])
     parser.add_argument("--manifest", help="JSON run manifest; replaces all other flags")
     sub = parser.add_subparsers(dest="subcommand")
-
-    def add_shared(sp):
-        sp.add_argument("--a1", type=float, default=1.0)
-        sp.add_argument("--a2", type=float, default=0.0)
-        sp.add_argument("--a3", type=float, default=0.0)
-        sp.add_argument("--mass", type=float, default=1.0)
-        sp.add_argument("--hbar", type=float, default=1.0)
-        sp.add_argument("--mode", choices=MODES, default=THREE_D)
-        sp.add_argument("--format", choices=FORMATS, default="csv")
-        sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("spectrum", help="level table")
-    add_shared(sp)
-    sp.add_argument("--n-max", type=int, default=3)
-    sp.add_argument("--ell-max", type=int, default=3)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--ell-mode", choices=ELL_MODES, default="integer")
-    sp.add_argument("--case", choices=SPECIAL_CASES, default=None)
-
-    sp = sub.add_parser("partition", help="partition-function comparison")
-    add_shared(sp)
-    sp.add_argument("--alpha", type=_parse_alpha_list, required=True, metavar="A[,A...]")
-    sp.add_argument("--methods", type=_parse_methods, default=("direct", "em"), metavar="LIST")
-    sp.add_argument("--cutoff", type=int, default=None)
-    sp.add_argument("--em-order", type=int, default=2)
-    sp.add_argument("--variant", choices=VARIANTS, default=VARIANT_DERIVED)
-
-    sp = sub.add_parser("sweep", help="temperature sweep / figure data")
-    add_shared(sp)
-    sp.add_argument("--alpha-min", type=float, default=0.5)
-    sp.add_argument("--alpha-max", type=float, default=100.0)
-    sp.add_argument("--points", type=int, default=200)
-    sp.add_argument("--spacing", choices=SPACINGS, default="log")
-    sp.add_argument("--z-method", choices=Z_METHODS, default="direct")
-    sp.add_argument("--variant", choices=VARIANTS, default=VARIANT_DERIVED)
-    sp.add_argument("--figure", choices=tuple(FIGURES), default=None)
-
-    sp = sub.add_parser("verify", help="run the cross-check suite")
-
+    fields = {field.name: field for field in dataclasses.fields(RunManifest)}
+    for subcommand, names in SUBCOMMAND_FIELDS.items():
+        sp = sub.add_parser(subcommand, help=_COMMANDS[subcommand].__doc__)
+        for name in names:
+            # alphas, the one required input, is named for a single value
+            flag = "--alpha" if name == "alphas" else "--" + name.replace("_", "-")
+            sp.add_argument(flag, dest=name, type=_flag_type(fields[name].type), default=fields[name].default,
+                            choices=_CHOICES.get(name), required=name == "alphas")
     return parser
 
 
 def manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    common = {}
-    for name in ("a1", "a2", "a3", "mass", "hbar", "mode", "format", "out"):
-        if hasattr(args, name):
-            common[name] = getattr(args, name)
-    if args.subcommand == "spectrum":
-        return RunManifest(
-            subcommand="spectrum",
-            n_max=args.n_max,
-            ell_max=args.ell_max,
-            m=args.m,
-            ell_mode=args.ell_mode,
-            case=args.case,
-            **common,
-        )
-    if args.subcommand == "partition":
-        return RunManifest(
-            subcommand="partition",
-            alphas=args.alpha,
-            methods=args.methods,
-            cutoff=args.cutoff,
-            em_order=args.em_order,
-            variant=args.variant,
-            **common,
-        )
-    if args.subcommand == "sweep":
-        return RunManifest(
-            subcommand="sweep",
-            alpha_min=args.alpha_min,
-            alpha_max=args.alpha_max,
-            points=args.points,
-            spacing=args.spacing,
-            z_method=args.z_method,
-            variant=args.variant,
-            figure=args.figure,
-            **common,
-        )
-    return RunManifest(subcommand="verify")
+    return RunManifest(args.subcommand, **{name: getattr(args, name) for name in SUBCOMMAND_FIELDS[args.subcommand]})
 
 
 _COMMANDS = {
@@ -480,8 +435,6 @@ _COMMANDS = {
 
 
 def run(manifest: RunManifest) -> int:
-    if manifest.subcommand not in _COMMANDS:
-        raise UsageError(f"unknown subcommand {manifest.subcommand!r}")
     return _COMMANDS[manifest.subcommand](manifest)
 
 
@@ -501,6 +454,9 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, ConvergenceError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (OverflowError, ZeroDivisionError) as exc:  # inputs inside the checked domain, past a float's range
+        print(f"error: {type(exc).__name__} at these inputs: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

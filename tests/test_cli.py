@@ -179,15 +179,11 @@ def test_csv_round_trip_exact():
 
 
 def test_manifest_round_trip():
-    manifest = RunManifest(
-        subcommand="sweep",
-        alpha_min=0.5,
-        alpha_max=math.pi * 31.0,
-        points=123,
-        figure="f2",
-        alphas=(1.0, 2.5),
-    )
-    assert RunManifest.from_dict(manifest.to_dict()) == manifest
+    # a sweep reads no alphas, so the list fields round-trip in a partition manifest
+    sweep = RunManifest(subcommand="sweep", alpha_min=0.5, alpha_max=math.pi * 31.0, points=123, figure="f2")
+    partition = RunManifest(subcommand="partition", mode="1d", alphas=(1.0, 2.5), methods=("em", "exact"))
+    for manifest in (sweep, partition):
+        assert RunManifest.from_dict(manifest.to_dict()) == manifest
 
 
 def test_manifest_rejects_unknown_fields():
@@ -292,6 +288,23 @@ def test_exit_code_io_error(tmp_path):
         ({"subcommand": "partition", "alphas": [1], "a2": 3}, 2),
         ({"subcommand": "partition", "alphas": [1], "methods": ["em"], "a3": 0.5}, 2),
         ({"subcommand": "sweep", "a3": 0.5}, 2),
+        # inputs that the run would ignore
+        ({"subcommand": "partition", "alphas": [1], "methods": ["em"], "cutoff": 5}, 2),
+        ({"subcommand": "spectrum", "case": "oscillator", "ell_mode": "real"}, 2),
+        ({"subcommand": "spectrum", "mode": "1d"}, 2),
+        ({"subcommand": "sweep", "alphas": [1.0, 2.5]}, 2),
+        ({"subcommand": "partition", "alphas": [1], "points": 5}, 2),
+        ({"subcommand": "verify", "points": 5}, 2),
+        ({"subcommand": "sweep", "figure": "f1", "mode": "1d"}, 2),
+        ({"subcommand": "tabulate"}, 2),
+        ({"subcommand": "sweep", "mode": "2d"}, 2),
+        ({"subcommand": "partition", "alphas": [1], "methods": ["em", "bogus"]}, 2),
+        # potential parameters outside their domain, and a2 or a3 whose formulas overflow
+        ({"subcommand": "partition", "alphas": [1], "a1": -5, "methods": ["em"]}, 3),
+        ({"subcommand": "sweep", "points": 2, "mass": -1, "hbar": 0}, 3),
+        ({"subcommand": "spectrum", "m": -1}, 3),
+        ({"subcommand": "spectrum", "case": "a2_only", "m": -1}, 3),
+        ({"subcommand": "spectrum", "a3": 1e200}, 3),
     ],
 )
 def test_bad_manifest_field_exit_code(tmp_path, capsys, fields, code):
@@ -337,6 +350,22 @@ def test_flag_choices_are_the_manifest_choices():
                 assert tuple(action.choices) == _CHOICES[action.dest]
                 checked.add(action.dest)
     assert checked == set(_CHOICES)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--mode", "1d"],
+        ["sweep", "--methods", "em"],
+        ["partition", "--alpha", "1", "--points", "5"],
+        ["verify", "--format", "json"],
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_no_subcommand_is_usage_error():

@@ -1,0 +1,97 @@
+"""Fuzz test of the input contract of the command line.
+
+Any manifest for ``spectrum``, ``partition`` or ``sweep`` (or for an
+unknown subcommand) must end in a documented exit code, 0, 2, 3 or 4;
+a failed run writes exactly one line on stderr and no traceback; and a
+repeated run prints the same bytes.  Each field of a drawn manifest is
+absent, valid, of the wrong type, out of range, NaN or off its choices.
+
+Valid values stay where a run is quick: at most 60 sweep points, alphas
+in [1e-3, 1e3], n_max and ell_max at most 6 and an explicit cutoff at
+most 10**4 (a direct sum allocates one float per term up to the cutoff).
+"""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ringosc.cli import _CHOICES, PARTITION_METHODS, SUBCOMMAND_FIELDS, main
+from ringosc.specfun import BERNOULLI_K_MAX
+
+POSITIVE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 10))
+NON_NEGATIVE = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 10))
+NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.integers(-10, 0))
+NEGATIVE_OR_INFINITE = st.one_of(st.floats(max_value=-1e-300), st.integers(-10, -1), st.just(math.inf))
+ALPHA = st.one_of(st.floats(min_value=1e-3, max_value=1e3), st.integers(1, 1000))
+SMALL = st.integers(0, 6)
+
+# per field: (valid values, values outside its domain); choice fields are
+# filled in from the choices their flags offer
+DOMAINS = {
+    "a1": (POSITIVE, NOT_POSITIVE),
+    "a2": (NON_NEGATIVE, NEGATIVE_OR_INFINITE),
+    "a3": (NON_NEGATIVE, NEGATIVE_OR_INFINITE),
+    "mass": (POSITIVE, NOT_POSITIVE),
+    "hbar": (POSITIVE, NOT_POSITIVE),
+    "n_max": (SMALL, st.integers(max_value=-1)),
+    "ell_max": (SMALL, st.integers(max_value=-1)),
+    "m": (st.one_of(SMALL, st.integers(min_value=0)), st.integers(max_value=-1)),
+    "alphas": (st.lists(ALPHA, max_size=4), st.lists(st.one_of(ALPHA, NOT_POSITIVE), min_size=1, max_size=3)),
+    "methods": (st.lists(st.sampled_from(PARTITION_METHODS), max_size=4), st.lists(st.text(max_size=4), max_size=2)),
+    "cutoff": (st.one_of(st.none(), st.integers(0, 10 ** 4)), st.integers(max_value=-1)),
+    "em_order": (st.integers(1, BERNOULLI_K_MAX), st.integers(max_value=0) | st.integers(BERNOULLI_K_MAX + 1)),
+    "alpha_min": (ALPHA, NOT_POSITIVE),
+    "alpha_max": (ALPHA, NOT_POSITIVE),
+    "points": (st.integers(1, 60), st.integers(max_value=0)),
+}
+for name, choices in _CHOICES.items():
+    valid = st.sampled_from(choices)
+    DOMAINS[name] = (st.one_of(valid, st.none()) if name in ("case", "figure") else valid, st.text(max_size=5))
+
+WRONG_TYPE = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.just(2.5), st.just({}), st.lists(st.text(max_size=2), max_size=2)
+)
+VALUES = {name: st.one_of(valid, bad, st.just(math.nan), WRONG_TYPE) for name, (valid, bad) in DOMAINS.items()}
+
+
+@st.composite
+def manifests(draw):
+    """A valid manifest of one subcommand, with up to two fields then drawn
+    from any kind of value, each perhaps one its subcommand does not read."""
+    subcommand = draw(st.sampled_from(("spectrum", "partition", "sweep", "tabulate")))
+    reads = SUBCOMMAND_FIELDS.get(subcommand, ())
+    valid = {name: DOMAINS[name][0] for name in reads if name in DOMAINS}
+    if subcommand != "spectrum":  # the level ladder of Z takes a2 = a3 = 0 only
+        valid.update({name: st.just(0.0) for name in ("a2", "a3") if name in valid})
+    # an empty list of alphas stands for an absent one
+    required = {"alphas": valid.pop("alphas")} if "alphas" in valid else {}
+    manifest = {"subcommand": subcommand}
+    manifest.update(draw(st.fixed_dictionaries(required, optional=valid)))
+    for name in draw(st.lists(st.sampled_from(sorted(VALUES)), max_size=2)):
+        manifest[name] = draw(VALUES[name])
+    return manifest
+
+
+def run_manifest(path):
+    """(exit code, stdout, stderr) of one in-process run of a manifest file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--manifest", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(manifest=manifests())
+def test_any_manifest_meets_the_exit_code_contract(tmp_path_factory, manifest):
+    path = tmp_path_factory.getbasetemp() / "fuzz-run.json"
+    path.write_text(json.dumps(manifest))
+    code, out, err = run_manifest(path)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.count("\n") == 1 and err.endswith("\n")
+    assert run_manifest(path) == (code, out, err)
