@@ -29,8 +29,6 @@ from .partition import (
 )
 from .specfun import (
     BERNOULLI_K_MAX,
-    Hyp1F1Terminating,
-    JacobiParams,
     bernoulli,
     gamma_ratio_prefactor,
     hyp1f1_terminating,
@@ -38,7 +36,6 @@ from .specfun import (
 )
 from .spectrum import (
     AngularSolution,
-    EnergyLevel,
     PotentialParams,
     angular_constant_from_quantization,
     angular_solution,
@@ -48,7 +45,6 @@ from .spectrum import (
     energy,
     energy_over_xi,
     energy_special_case,
-    level,
     radial_energy_from_quantization,
     radial_wavefunction,
     total_wavefunction,

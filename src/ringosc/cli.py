@@ -35,7 +35,7 @@ from .partition import (
     partition_direct,
     partition_em,
 )
-from .spectrum import SPECIAL_CASES, PotentialParams, angular_solution, energy_special_case, level
+from .spectrum import SPECIAL_CASES, PotentialParams, angular_solution, degeneracy, energy_over_xi, energy_special_case
 from .thermo import SPACINGS, Z_METHODS, SweepSpec, continuity_scan, sweep
 
 __all__ = ["RunManifest", "FIGURES", "main", "run"]
@@ -283,18 +283,15 @@ def cmd_spectrum(manifest: RunManifest) -> int:
         "degeneracy",
         "status",
     )
+    real = manifest.ell_mode == "real"
     rows = []
     for n in range(manifest.n_max + 1):
         for ell in range(manifest.ell_max + 1):
             sol = angular_solution(p, s=ell, m=manifest.m)
-            if manifest.ell_mode == "real":
-                e = 4.0 * n + 2.0 * sol.ell_eff + 3.0
-                rows.append((n, ell, sol.s, sol.m, sol.Lambda, sol.L, sol.ell_eff, e, "", "", "ok"))
-            else:
-                lv = level(n, ell)
-                rows.append(
-                    (n, ell, sol.s, sol.m, sol.Lambda, sol.L, sol.ell_eff, lv.e_over_xi, lv.n_prime, lv.degeneracy, "ok")
-                )
+            # n' = 2n + ell and its degeneracy belong to the integer ladder only
+            e = energy_over_xi(n, sol.ell_eff if real else ell)
+            n_prime, deg = ("", "") if real else (2 * n + ell, degeneracy(2 * n + ell))
+            rows.append((n, ell, sol.s, sol.m, sol.Lambda, sol.L, sol.ell_eff, e, n_prime, deg, "ok"))
     _emit(manifest, columns, rows)
     return 0
 

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 
 from .errors import BranchError, ConvergenceError, DomainError
 
+RESIDUAL_TOL = 1e-12  # |f| at which solve_bracketed accepts a root
+MAX_EXPANSIONS = 60  # bracket doublings before it gives up on a sign change
+MAX_ITERATIONS = 256  # refinement steps before it returns its best point
+
 __all__ = [
     "NUProblem",
     "NUDerived",
@@ -113,20 +117,12 @@ def quantization_residual(derived: NUDerived, s: int) -> float:
     )
 
 
-def solve_bracketed(
-    func,
-    lo: float,
-    hi: float,
-    *,
-    residual_tol: float = 1e-12,
-    max_expansions: int = 60,
-    max_iterations: int = 256,
-) -> float:
+def solve_bracketed(func, lo: float, hi: float) -> float:
     """Root of a continuous scalar function, bracketing then refining.
 
     The initial interval is expanded by doubling until the endpoints
     straddle a sign change, then bisection interleaved with secant steps
-    shrinks it.  Terminates when |f| <= residual_tol or the bracket is
+    shrinks it.  Terminates when |f| <= RESIDUAL_TOL or the bracket is
     at rounding width.  Derivative-free on purpose: the termination-rule
     residuals are monotone in their embedded unknown, so bracketing is
     robust and cheap.
@@ -137,7 +133,7 @@ def solve_bracketed(
     fhi = func(hi)
     expansions = 0
     while flo * fhi > 0.0:
-        if expansions >= max_expansions:
+        if expansions >= MAX_EXPANSIONS:
             raise ConvergenceError(f"no sign change found in expanded bracket [{lo}, {hi}]")
         width = hi - lo
         lo -= width
@@ -151,9 +147,9 @@ def solve_bracketed(
         return hi
     a, b, fa, fb = lo, hi, flo, fhi
     x = 0.5 * (a + b)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         fx = func(x)
-        if abs(fx) <= residual_tol:
+        if abs(fx) <= RESIDUAL_TOL:
             return x
         if fa * fx < 0.0:
             b, fb = x, fx

@@ -43,6 +43,7 @@ __all__ = [
     "THREE_D",
     "ONE_D",
     "MODES",
+    "ALPHA_MAX",
     "PartitionSpec",
     "PartitionValue",
     "partition_direct",
@@ -67,6 +68,9 @@ VARIANT_PAPER = "paper"
 VARIANTS = (VARIANT_DERIVED, VARIANT_PAPER)
 
 TAIL_RTOL = 1e-14  # relative accuracy a direct sum certifies
+# the largest alpha_bar taken: Z ~ alpha^3/4 of the 3d ladder leaves the float
+# range near alpha = 7e102, and the specific heat divides by alpha^2
+ALPHA_MAX = 1e100
 
 
 def _check_mode(mode: str) -> None:
@@ -75,13 +79,15 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_alpha(alpha_bar) -> None:
-    """alpha_bar, a float or an array of them, must be finite and > 0."""
+    """alpha_bar, a float or an array of them, must lie in (0, ALPHA_MAX];
+    for an array the error carries the index of the first bad element."""
     if isinstance(alpha_bar, np.ndarray):
-        bad = ~((alpha_bar > 0.0) & (alpha_bar < math.inf))
+        bad = ~((alpha_bar > 0.0) & (alpha_bar <= ALPHA_MAX))
         if bad.any():
-            raise DomainError(f"alpha_bar must be > 0, got {alpha_bar[bad][0]}")
-    elif not (math.isfinite(alpha_bar) and alpha_bar > 0.0):
-        raise DomainError(f"alpha_bar must be > 0, got {alpha_bar}")
+            i = int(np.argmax(bad))
+            raise DomainError(f"alpha_bar must be > 0 and at most {ALPHA_MAX:g}, got {alpha_bar[i]}", index=i)
+    elif not 0.0 < alpha_bar <= ALPHA_MAX:
+        raise DomainError(f"alpha_bar must be > 0 and at most {ALPHA_MAX:g}, got {alpha_bar}")
 
 
 @dataclass(frozen=True)
@@ -184,19 +190,20 @@ def partition_direct(spec: PartitionSpec) -> PartitionValue:
     """Truncated Boltzmann sum with a certified tail bound.
 
     Raises ``ConvergenceError`` (carrying a workable cutoff) if an
-    explicit cutoff is too small for the requested tail target.
+    explicit cutoff is too small for the requested tail target, and
+    ``DomainError`` if it is above the suggested one, which already meets
+    that target: the sum holds one float per term.
     """
     x = _boltzmann_factor(spec.mode, spec.alpha_bar)
-    if spec.cutoff is None:
-        n0 = suggested_cutoff(spec.mode, spec.alpha_bar)
-    else:
-        n0 = int(spec.cutoff)
+    suggested = suggested_cutoff(spec.mode, spec.alpha_bar)
+    n0 = suggested if spec.cutoff is None else int(spec.cutoff)
+    if n0 > suggested:
+        raise DomainError(f"cutoff must be at most {suggested} at alpha_bar={spec.alpha_bar}, got {n0}")
     z = float(_series_terms(spec.mode, spec.alpha_bar, n0).sum())
     tail = _tail_bound(spec.mode, n0, x)
     if tail > TAIL_RTOL * z:
         raise ConvergenceError(
-            f"cutoff {n0} leaves tail bound {tail:.3e} > {TAIL_RTOL:.1e} * Z",
-            suggested_cutoff=suggested_cutoff(spec.mode, spec.alpha_bar),
+            f"cutoff {n0} leaves tail bound {tail:.3e} > {TAIL_RTOL:.1e} * Z", suggested_cutoff=suggested
         )
     return PartitionValue(Z=z, method="direct", tail_bound=tail)
 
@@ -303,16 +310,19 @@ def _em_evaluate(alpha_bar, top, polys):
     the scalar one and a point must match the same alpha inside a sweep.
     """
     powers = [alpha_bar ** 0, alpha_bar]  # a 1 of alpha's own type
-    for _ in range(top - 1):
-        powers.append(powers[-1] * alpha_bar)
     values = []
-    for up, down in polys:
-        total = 0
-        for k, p, q in up:
-            total += p * powers[k] / q
-        for k, p, q in down:
-            total += p / (q * powers[k])
-        values.append(total)
+    # near ALPHA_MAX the top powers and q a^k overflow to inf; they only
+    # divide, into terms that are 0 in floats anyway
+    with np.errstate(over="ignore"):
+        for _ in range(top - 1):
+            powers.append(powers[-1] * alpha_bar)
+        for up, down in polys:
+            total = 0
+            for k, p, q in up:
+                total += p * powers[k] / q
+            for k, p, q in down:
+                total += p / (q * powers[k])
+            values.append(total)
     return values
 
 

@@ -13,14 +13,11 @@ any number of concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 
 __all__ = [
-    "JacobiParams",
-    "Hyp1F1Terminating",
     "jacobi_poly",
     "hyp1f1_terminating",
     "gamma_ratio_prefactor",
@@ -29,40 +26,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and indices of a Jacobi polynomial P_s^(alpha, beta)."""
-
-    degree: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.degree < 0 or int(self.degree) != self.degree:
-            raise DomainError(f"degree must be a non-negative integer, got {self.degree}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= -1.0:
-                raise DomainError(f"{name} must be finite and > -1, got {value}")
-
-
-def jacobi_poly(params: JacobiParams, x: float) -> float:
-    """Evaluate P_s^(alpha, beta)(x) for x in [-1, 1].
+def jacobi_poly(degree: int, a: float, b: float, x: float) -> float:
+    """Evaluate P_degree^(a, b)(x) for x in [-1, 1].
 
     Uses the ascending three-term recurrence, which is stable for the
-    symmetric alpha == beta indices the angular solutions need and avoids
-    the cancellation of the explicit series form.  The series definition
-    is deliberately kept out of the library; it lives in the test suite
-    as an independent oracle.
+    symmetric a == b indices the angular solutions need and avoids the
+    cancellation of the explicit series form.  The series definition is
+    deliberately kept out of the library; it lives in the test suite as an
+    independent oracle.
     """
+    if degree < 0 or int(degree) != degree:
+        raise DomainError(f"degree must be a non-negative integer, got {degree}")
+    for name, value in (("alpha", a), ("beta", b)):
+        if not math.isfinite(value) or value <= -1.0:
+            raise DomainError(f"{name} must be finite and > -1, got {value}")
     if not math.isfinite(x) or abs(x) > 1.0 + 1e-9:
         raise DomainError(f"jacobi argument must lie in [-1, 1], got {x}")
-    a, b = params.alpha, params.beta
-    if params.degree == 0:
+    if degree == 0:
         return 1.0
     prev = 1.0
     cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for k in range(2, params.degree + 1):
+    for k in range(2, int(degree) + 1):
         c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
         c2 = (2.0 * k + a + b - 1.0) * (
             (2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b
@@ -72,37 +56,22 @@ def jacobi_poly(params: JacobiParams, x: float) -> float:
     return cur
 
 
-@dataclass(frozen=True)
-class Hyp1F1Terminating:
-    """Arguments of a terminating confluent series 1F1(-n; b; y).
-
-    The first parameter is -n with n a non-negative integer, so the series
-    stops after n + 1 terms.
-    """
-
-    n: int
-    b: float
-    y: float
-
-    def __post_init__(self):
-        if self.n < 0 or int(self.n) != self.n:
-            raise DomainError(f"n must be a non-negative integer, got {self.n}")
-        if not math.isfinite(self.b) or (self.b <= 0.0 and self.b == math.floor(self.b)):
-            raise DomainError(f"b must not be a non-positive integer, got {self.b}")
-        if not math.isfinite(self.y) or self.y < 0.0:
-            raise DomainError(f"argument must be finite and >= 0, got {self.y}")
-
-
-def hyp1f1_terminating(h: Hyp1F1Terminating) -> float:
-    """Sum the n + 1 nonzero terms of 1F1(-n; b; y).
+def hyp1f1_terminating(n: int, b: float, y: float) -> float:
+    """Sum the n + 1 nonzero terms of 1F1(-n; b; y), n a non-negative integer.
 
     Successive terms follow from the ratio (k - n) y / ((b + k)(k + 1)),
     so no factorials or Pochhammer symbols are formed explicitly.
     """
+    if n < 0 or int(n) != n:
+        raise DomainError(f"n must be a non-negative integer, got {n}")
+    if not math.isfinite(b) or (b <= 0.0 and b == math.floor(b)):
+        raise DomainError(f"b must not be a non-positive integer, got {b}")
+    if not math.isfinite(y) or y < 0.0:
+        raise DomainError(f"argument must be finite and >= 0, got {y}")
     term = 1.0
     total = 1.0
-    for k in range(h.n):
-        term *= (k - h.n) * h.y / ((h.b + k) * (k + 1.0))
+    for k in range(int(n)):
+        term *= (k - n) * y / ((b + k) * (k + 1.0))
         total += term
     return total
 

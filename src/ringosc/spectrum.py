@@ -39,12 +39,11 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 from .nu_solver import NUProblem, derive, quantization_residual, solve_bracketed
-from .specfun import Hyp1F1Terminating, JacobiParams, gamma_ratio_prefactor, hyp1f1_terminating, jacobi_poly
+from .specfun import gamma_ratio_prefactor, hyp1f1_terminating, jacobi_poly
 
 __all__ = [
     "PotentialParams",
     "AngularSolution",
-    "EnergyLevel",
     "angular_solution",
     "angular_problem",
     "angular_constant_from_quantization",
@@ -58,7 +57,6 @@ __all__ = [
     "radial_wavefunction",
     "angular_wavefunction",
     "total_wavefunction",
-    "level",
     "SPECIAL_CASES",
 ]
 
@@ -129,15 +127,16 @@ def angular_solution(p: PotentialParams, s: int, m: int) -> AngularSolution:
 
     L = -1 + (1/2) sqrt((1 + 2s + 2 Lambda)^2 - 8 M a3^2 / hbar^2); the
     effective angular momentum entering the radial equation is
-    ell_eff = L + 1/2.
+    ell_eff = L + 1/2.  Since Lambda^2 holds the a3 term, the discriminant
+    equals (1 + 2s)(1 + 2s + 4 Lambda) + 4 (1 + m^2 + 2 M a2^2 / hbar^2),
+    which is taken instead: it keeps every digit at large a3, where the
+    two squares agree to about 1/Lambda, and it is never below 9.
     """
     if s < 0 or int(s) != s or m < 0 or int(m) != m:
         raise DomainError("s and m must be non-negative integers")
     lam = big_lambda(p, m)
-    disc = (1.0 + 2.0 * s + 2.0 * lam) ** 2 - 8.0 * p.mass * p.a3 ** 2 / p.hbar ** 2
-    if disc < 0.0:
-        raise DomainError(f"no real angular solution: discriminant {disc} < 0")
-    L = -1.0 + 0.5 * math.sqrt(disc)
+    odd = 1.0 + 2.0 * s
+    L = -1.0 + 0.5 * math.sqrt(odd * (odd + 4.0 * lam) + 4.0 * (1.0 + _sin_strength(p, m)))
     return AngularSolution(s=int(s), m=int(m), Lambda=lam, L=L, ell_eff=L + 0.5)
 
 
@@ -311,7 +310,7 @@ def radial_wavefunction(p: PotentialParams, n: int, ell: float, r: float) -> flo
     y = radial_variable(p, r)
     mu = 0.5 * (ell + 1.0)
     prefactor = gamma_ratio_prefactor(int(n), ell)
-    series = hyp1f1_terminating(Hyp1F1Terminating(n=int(n), b=1.5 + ell, y=y))
+    series = hyp1f1_terminating(int(n), 1.5 + ell, y)
     return y ** mu * math.exp(-0.5 * y) * prefactor * series
 
 
@@ -329,7 +328,7 @@ def angular_wavefunction(sol: AngularSolution, theta: float) -> float:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
     y = 1.0 + math.cos(theta)
     w = 1.0 - y
-    jac = jacobi_poly(JacobiParams(degree=sol.s, alpha=sol.Lambda, beta=sol.Lambda), w)
+    jac = jacobi_poly(sol.s, sol.Lambda, sol.Lambda, w)
     return y ** (1.0 + sol.Lambda) * abs(w) ** sol.Lambda * jac
 
 
@@ -340,40 +339,14 @@ def total_wavefunction(
     r: float,
     theta: float,
     phi: float = 0.0,
-    phi_sign: int = -1,
 ) -> complex:
-    """Un-normalized product wavefunction f(r) Theta(theta) e^(+-i m phi).
+    """Un-normalized product wavefunction f(r) Theta(theta) e^(-i m phi).
 
     The radial factor is evaluated at the exact effective ell_eff of the
     angular solution.  Real (zero imaginary part) whenever m = 0; the
     modulus is independent of phi for every m.
     """
-    if phi_sign not in (-1, 1):
-        raise DomainError("phi_sign must be -1 or +1")
     radial = radial_wavefunction(p, n, sol.ell_eff, r)
     ang = angular_wavefunction(sol, theta)
-    return radial * ang * cmath.exp(1j * phi_sign * sol.m * phi)
+    return radial * ang * cmath.exp(-1j * sol.m * phi)
 
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    """One row of a level table, energies in units of xi."""
-
-    n: int
-    ell: float
-    e_over_xi: float
-    n_prime: int | None
-    degeneracy: int | None
-
-
-def level(n: int, ell: float) -> EnergyLevel:
-    """Level data for quantum numbers (n, ell).
-
-    n' = 2n + ell and the (1 + n')^2 degeneracy are only defined for
-    integer ell and left as None otherwise.
-    """
-    e = energy_over_xi(n, ell)
-    if float(ell).is_integer():
-        n_prime = int(2 * n + int(ell))
-        return EnergyLevel(int(n), ell, e, n_prime, degeneracy(n_prime))
-    return EnergyLevel(int(n), ell, e, None, None)

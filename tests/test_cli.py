@@ -340,6 +340,25 @@ def test_negative_n_max_flag_is_domain_error(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "--alpha-max", "1e300"], "error: need 0 < alpha_min <= alpha_max <= 1e+100, got [0.5, 1e+300]\n"),
+        (["sweep", "--alpha-max", "1e300", "--z-method", "em"],
+         "error: need 0 < alpha_min <= alpha_max <= 1e+100, got [0.5, 1e+300]\n"),
+        (["sweep", "--alpha-max", "inf"], "error: need 0 < alpha_min <= alpha_max <= 1e+100, got [0.5, inf]\n"),
+        (["partition", "--alpha", "1e120", "--methods", "em"], "error: alpha_bar must be > 0 and at most 1e+100, got 1e+120\n"),
+        (["partition", "--alpha", "1", "--methods", "direct", "--cutoff", "10000000"],
+         "error: cutoff must be at most 19 at alpha_bar=1.0, got 10000000\n"),
+    ],
+)
+def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_flag_choices_are_the_manifest_choices():
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if a.dest == "subcommand"]

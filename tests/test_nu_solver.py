@@ -164,4 +164,4 @@ def test_solve_bracketed_nonlinear():
 
 def test_solve_bracketed_no_root():
     with pytest.raises(ConvergenceError):
-        solve_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0, max_expansions=8)
+        solve_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from ringosc.errors import ConvergenceError, DomainError, UsageError
 from ringosc.partition import (
+    ALPHA_MAX,
     ONE_D,
     THREE_D,
     VARIANT_DERIVED,
@@ -70,6 +71,31 @@ def test_direct_cutoff_too_small():
     assert suggested is not None and suggested > 5
     value = partition_direct(PartitionSpec(THREE_D, 10.0, cutoff=suggested))
     assert value.Z == pytest.approx(closed_form_3d(10.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_direct_cutoff_above_the_suggested_one_is_refused(mode):
+    # the sum holds one float per term, so a cutoff past the one that already
+    # certifies the tail is refused before anything is allocated
+    suggested = suggested_cutoff(mode, 1.0)
+    assert partition_direct(PartitionSpec(mode, 1.0, cutoff=suggested)).Z > 1.0
+    for cutoff in (suggested + 1, 10 ** 12):
+        with pytest.raises(DomainError, match=f"cutoff must be at most {suggested} "):
+            partition_direct(PartitionSpec(mode, 1.0, cutoff=cutoff))
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_closed_forms_are_finite_up_to_alpha_max(mode):
+    grid = np.geomspace(1e-3, ALPHA_MAX, 300).tolist()
+    for order in range(1, BERNOULLI_K_MAX + 1):
+        assert all(math.isfinite(partition_em(PartitionSpec(mode, a, em_order=order)).Z) for a in grid)
+    assert all(math.isfinite(v) for a in grid for v in ladder_log_z_moments(mode, a))
+    assert all(math.isfinite(partition_closed_form_1d(a).Z) for a in grid)
+    for bad in (ALPHA_MAX * 1.0000001, 1e120):
+        with pytest.raises(DomainError, match="at most 1e\\+100"):
+            PartitionSpec(mode, bad)
+        with pytest.raises(DomainError):
+            em_z_derivatives(mode, np.array([1.0, bad]))
 
 
 def test_direct_monotone_increasing_and_positive():

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from ringosc.errors import DomainError
 from ringosc.specfun import (
     BERNOULLI_K_MAX,
-    Hyp1F1Terminating,
-    JacobiParams,
     bernoulli,
     gamma_ratio_prefactor,
     hyp1f1_terminating,
@@ -66,17 +64,17 @@ def laguerre_recurrence_oracle(n, alpha, y):
 
 
 def test_jacobi_degree_zero_is_one():
-    assert jacobi_poly(JacobiParams(0, 1.5, 1.5), 0.3) == 1.0
+    assert jacobi_poly(0, 1.5, 1.5, 0.3) == 1.0
 
 
 @pytest.mark.parametrize("a", [0.0, 0.7, 1.5, 3.2])
 @pytest.mark.parametrize("x", [-0.8, -0.1, 0.4, 1.0])
 def test_jacobi_degree_one_symmetric(a, x):
-    assert jacobi_poly(JacobiParams(1, a, a), x) == pytest.approx((a + 1.0) * x, rel=1e-14, abs=1e-14)
+    assert jacobi_poly(1, a, a, x) == pytest.approx((a + 1.0) * x, rel=1e-14, abs=1e-14)
 
 
 def test_jacobi_degree_three_vs_series_oracle():
-    value = jacobi_poly(JacobiParams(3, 2.0, 2.0), 0.5)
+    value = jacobi_poly(3, 2.0, 2.0, 0.5)
     oracle = jacobi_series_oracle(3, 2.0, 2.0, 0.5)
     assert value == pytest.approx(oracle, rel=1e-13)
     assert value == pytest.approx(-0.625, rel=1e-13)  # frozen from the oracle
@@ -86,7 +84,7 @@ def test_jacobi_degree_three_vs_series_oracle():
 @pytest.mark.parametrize("a,b", [(0.5, 1.5), (2.0, 0.0), (1.25, 3.5)])
 @pytest.mark.parametrize("x", [-0.9, 0.2, 0.77])
 def test_jacobi_asymmetric_vs_series_oracle(n, a, b, x):
-    assert jacobi_poly(JacobiParams(n, a, b), x) == pytest.approx(
+    assert jacobi_poly(n, a, b, x) == pytest.approx(
         jacobi_series_oracle(n, a, b, x), rel=1e-12, abs=1e-12
     )
 
@@ -98,8 +96,8 @@ def test_jacobi_asymmetric_vs_series_oracle(n, a, b, x):
 )
 @settings(max_examples=200, deadline=None)
 def test_jacobi_symmetric_parity(s, a, x):
-    plus = jacobi_poly(JacobiParams(s, a, a), x)
-    minus = jacobi_poly(JacobiParams(s, a, a), -x)
+    plus = jacobi_poly(s, a, a, x)
+    minus = jacobi_poly(s, a, a, -x)
     scale = max(1.0, abs(plus))
     assert abs(minus - (-1.0) ** s * plus) <= 1e-12 * scale
 
@@ -110,24 +108,24 @@ def test_jacobi_symmetric_parity(s, a, x):
 )
 def test_jacobi_bad_params(degree, alpha, beta):
     with pytest.raises(DomainError):
-        JacobiParams(degree, alpha, beta)
+        jacobi_poly(degree, alpha, beta, 0.0)
 
 
 def test_jacobi_argument_out_of_range():
     with pytest.raises(DomainError):
-        jacobi_poly(JacobiParams(2, 1.0, 1.0), 1.5)
+        jacobi_poly(2, 1.0, 1.0, 1.5)
 
 
 # -------------------------------------------------------------------- 1f1
 
 
 def test_hyp1f1_n_zero_is_one():
-    assert hyp1f1_terminating(Hyp1F1Terminating(0, 1.5, 2.7)) == 1.0
+    assert hyp1f1_terminating(0, 1.5, 2.7) == 1.0
 
 
 def test_hyp1f1_two_terms():
     # 1 - y/b with y = 1, b = 2
-    assert hyp1f1_terminating(Hyp1F1Terminating(1, 2.0, 1.0)) == pytest.approx(0.5, rel=1e-15)
+    assert hyp1f1_terminating(1, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_hyp1f1_vs_laguerre_identity():
@@ -135,7 +133,7 @@ def test_hyp1f1_vs_laguerre_identity():
     n, b, y = 3, 2.5, 0.8
     scale = (b * (b + 1) * (b + 2)) / math.factorial(n)
     oracle = laguerre_recurrence_oracle(n, b - 1.0, y) / scale
-    value = hyp1f1_terminating(Hyp1F1Terminating(n, b, y))
+    value = hyp1f1_terminating(n, b, y)
     assert value == pytest.approx(oracle, rel=1e-13)
     assert value == pytest.approx(0.24642539682539685, rel=1e-13)  # frozen from the oracle
 
@@ -150,7 +148,7 @@ def test_hyp1f1_vs_brute_force(n, b, y):
     # 1e-13 relative to the term-magnitude scale: for strongly alternating
     # arguments the cancellation noise of *any* double-precision summation
     # is proportional to that scale, not to the (tiny) sum
-    value = hyp1f1_terminating(Hyp1F1Terminating(n, b, y))
+    value = hyp1f1_terminating(n, b, y)
     oracle, scale = hyp1f1_binomial_oracle(n, b, y)
     assert abs(value - oracle) <= 1e-13 * max(1.0, scale)
 
@@ -161,7 +159,7 @@ def test_hyp1f1_vs_brute_force_strict_mild_cancellation(n, b, y):
     # with y <= b/(n+1) the alternating terms decrease, cancellation is
     # bounded, and a plain relative comparison is meaningful
     assert y <= b / (n + 1)
-    value = hyp1f1_terminating(Hyp1F1Terminating(n, b, y))
+    value = hyp1f1_terminating(n, b, y)
     oracle, _ = hyp1f1_binomial_oracle(n, b, y)
     assert value == pytest.approx(oracle, rel=1e-13, abs=1e-14)
 
@@ -169,7 +167,7 @@ def test_hyp1f1_vs_brute_force_strict_mild_cancellation(n, b, y):
 @pytest.mark.parametrize("n,b,y", [(-1, 1.5, 0.1), (2, 0.0, 0.1), (2, -3.0, 0.1), (2, 1.5, -0.1)])
 def test_hyp1f1_bad_params(n, b, y):
     with pytest.raises(DomainError):
-        Hyp1F1Terminating(n, b, y)
+        hyp1f1_terminating(n, b, y)
 
 
 # ----------------------------------------------------------- gamma ratio

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,7 +19,6 @@ from ringosc.spectrum import (
     energy,
     energy_over_xi,
     energy_special_case,
-    level,
     radial_energy_from_quantization,
     radial_wavefunction,
     total_wavefunction,
@@ -149,6 +149,21 @@ def test_a3_only_limit_is_a2_only_form():
     assert sol.L == pytest.approx(-0.5 + sol.Lambda + 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("a3", [1e16, 1e17])
+@pytest.mark.parametrize("s,m", [(0, 0), (1, 0), (3, 2)])
+def test_angular_constant_at_large_a3_vs_mpmath(a3, s, m):
+    # (1 + 2s + 2 Lambda)^2 and 8 M a3^2/hbar^2 agree to about 1/Lambda here,
+    # so their difference in floats kept no digit of L
+    p = PotentialParams(a1=1.0, a2=0.3, a3=a3)
+    with mp.workdps(60):
+        b = 2 * mp.mpf(a3) ** 2
+        lam = mp.sqrt(1 + m * m + 2 * mp.mpf(0.3) ** 2 + b)
+        want = -1 + mp.sqrt((1 + 2 * s + 2 * lam) ** 2 - 4 * b) / 2
+    sol = angular_solution(p, s, m)
+    assert sol.L == pytest.approx(float(want), rel=4e-16)
+    assert sol.ell_eff == sol.L + 0.5
+
+
 def test_special_case_param_mismatch():
     with pytest.raises(UsageError):
         energy_special_case(PotentialParams(a1=1.0, a3=1.0), "a2_only", 0, 0, 0)
@@ -188,15 +203,6 @@ def test_level_regrouping():
                 n = (n_prime - ell) // 2
                 assert energy_over_xi(n, ell) == 2 * n_prime + 3
         assert sum(2 * ell + 1 for ell in range(n_prime + 1)) == degeneracy(n_prime)
-
-
-def test_level_rows():
-    row = level(1, 2)
-    assert row.e_over_xi == 11.0
-    assert row.n_prime == 4
-    assert row.degeneracy == 25
-    row = level(1, 1.5)
-    assert row.n_prime is None and row.degeneracy is None
 
 
 # ---------------------------------------------------------------- radial f
