@@ -72,7 +72,7 @@ _POTENTIAL = ("a1", "a2", "a3", "mass", "hbar")
 _OUTPUT = ("format", "out")
 SUBCOMMAND_FIELDS = {
     "spectrum": _POTENTIAL + _OUTPUT + ("n_max", "ell_max", "m", "ell_mode", "case"),
-    "partition": _POTENTIAL + ("mode",) + _OUTPUT + ("alphas", "methods", "cutoff", "em_order", "variant"),
+    "partition": _POTENTIAL + ("mode",) + _OUTPUT + ("alphas", "methods", "cutoff", "em_order"),
     "sweep": _POTENTIAL + ("mode",) + _OUTPUT
     + ("alpha_min", "alpha_max", "points", "spacing", "z_method", "variant", "figure"),
     "verify": (),
@@ -80,7 +80,7 @@ SUBCOMMAND_FIELDS = {
 
 # the partition inputs that one method alone reads; 'em-paper' fixes its own
 # order and variant
-_METHOD_FIELDS = {"em": ("em_order", "variant"), "direct": ("cutoff",)}
+_METHOD_FIELDS = {"em": ("em_order",), "direct": ("cutoff",)}
 
 # per annotation of RunManifest: the JSON types a manifest value may have
 # (bool is an int subclass but never a valid number here), the JSON types of
@@ -131,13 +131,13 @@ class RunManifest:
     methods: tuple[str, ...] = ("direct", "em")
     cutoff: int | None = None
     em_order: int = 2
-    variant: str = VARIANT_DERIVED
     # sweep
     alpha_min: float = 0.5
     alpha_max: float = 100.0
     points: int = 200
     spacing: str = "log"
     z_method: str = "direct"
+    variant: str = VARIANT_DERIVED
     figure: str | None = None
 
     def __post_init__(self):
@@ -202,11 +202,6 @@ class RunManifest:
             except json.JSONDecodeError as exc:
                 raise UsageError(f"manifest {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
 
 
 def _fmt_cell(value) -> str:
@@ -302,7 +297,6 @@ def _partition_value(method: str, manifest: RunManifest, alpha: float):
         alpha_bar=alpha,
         cutoff=manifest.cutoff,
         em_order=manifest.em_order,
-        variant=manifest.variant,
     )
     if method == "direct":
         return partition_direct(spec)

@@ -6,8 +6,7 @@ Gamma-function ratios as telescoping products, and a lookup table of
 exact-rational Bernoulli numbers.  No general special-function library
 is involved; these are the only pieces the rest of the package needs.
 
-All functions are pure and hold no state, so they are safe to call from
-any number of concurrent workers.
+All functions are pure and hold no state.
 """
 
 from __future__ import annotations

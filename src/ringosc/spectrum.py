@@ -278,19 +278,11 @@ def degeneracy(n_prime: int) -> int:
     return (1 + int(n_prime)) ** 2
 
 
-def degeneracy_sum(n_prime: int, parity_constrained: bool = False) -> int:
-    """Brute-force degeneracy count, Sum of (2 ell + 1).
-
-    With ``parity_constrained`` the sum keeps only ell of the same parity
-    as n' (the counting with n' - ell even, which gives the familiar
-    (n'+1)(n'+2)/2 instead).  The unconstrained rule is what the closed
-    form ``degeneracy`` uses.
-    """
+def degeneracy_sum(n_prime: int) -> int:
+    """Brute-force degeneracy count, Sum of (2 ell + 1) over ell = 0..n'."""
     if n_prime < 0 or int(n_prime) != n_prime:
         raise DomainError(f"n_prime must be a non-negative integer, got {n_prime}")
-    start = n_prime % 2 if parity_constrained else 0
-    step = 2 if parity_constrained else 1
-    return sum(2 * ell + 1 for ell in range(start, int(n_prime) + 1, step))
+    return sum(2 * ell + 1 for ell in range(int(n_prime) + 1))
 
 
 def radial_variable(p: PotentialParams, r: float) -> float:

@@ -20,9 +20,8 @@ definitions and double as wiring checks.  Two providers of ln Z:
   (``partition.em_z_derivatives``), whose derivatives are those of its
   table of rational coefficients.
 
-Derivatives are analytic by default; central differences on ln Z, with
-the fixed relative step ``FD_STEP_REL``, are available as an alternative
-scheme.
+Derivatives are analytic by default; a sweep can take central
+differences on ln Z instead, with the fixed relative step ``FD_STEP_REL``.
 
 One array kernel evaluates every quantity elementwise over a whole grid of
 alphas: ``sweep`` calls it once per grid and ``thermo_point`` calls it with
@@ -134,20 +133,11 @@ def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
     return z, -a * log_z, u, log_z + u / a, c
 
 
-def thermo_point(
-    alpha_bar: float,
-    mode: str = THREE_D,
-    z_method: str = "direct",
-    derivative_scheme: str = "analytic",
-    *,
-    variant: str = VARIANT_DERIVED,
-) -> ThermoPoint:
-    """Evaluate Z and (F, U, S, C) at one dimensionless temperature."""
-    if not 0.0 < alpha_bar <= ALPHA_MAX:
-        raise DomainError(f"alpha_bar must be > 0 and at most {ALPHA_MAX:g}, got {alpha_bar}")
-    _check_options(mode, z_method, derivative_scheme, variant)
+def thermo_point(alpha_bar: float, mode: str = THREE_D, z_method: str = "direct") -> ThermoPoint:
+    """Z and analytic (F, U, S, C) at one temperature; ``sweep`` takes the other schemes and variants."""
+    _check_options(mode, z_method, "analytic", VARIANT_DERIVED)
     a = float(alpha_bar)
-    values = _thermo_arrays(a, mode, z_method, derivative_scheme, variant)
+    values = _thermo_arrays(a, mode, z_method, "analytic", VARIANT_DERIVED)
     return ThermoPoint(a, *map(float, values), z_method)
 
 
@@ -178,9 +168,7 @@ class SweepSpec:
             raise DomainError(f"need 0 < alpha_min <= alpha_max <= {ALPHA_MAX:g}, got [{alpha_min}, {alpha_max}]")
         if spacing not in SPACINGS:
             raise UsageError(f"spacing must be one of {SPACINGS}, got {spacing!r}")
-        if points == 1:
-            grid = np.array([alpha_min])
-        elif spacing == "log":
+        if spacing == "log":
             grid = np.geomspace(alpha_min, alpha_max, points)
         else:
             grid = np.linspace(alpha_min, alpha_max, points)
@@ -195,12 +183,24 @@ class SweepResult:
     monotonicity: dict
 
 
+def _strict(holds, values) -> bool:
+    """Whether the strict comparison ``holds`` of each consecutive pair of
+    ``values`` is true at every pair but those of two exact zeros."""
+    if holds.all():
+        return True
+    zero = values == 0.0
+    return bool(np.all(holds | (zero[1:] & zero[:-1])))
+
+
 def sweep(spec: SweepSpec) -> SweepResult:
     """One ThermoPoint per grid value and the shape summary of the curves.
 
     The monotonicity flags are grid-level statements (checked at every
-    consecutive pair), matching what a plotted curve can show.  A failing
-    point aborts the sweep and reports its grid index.
+    consecutive pair), matching what a plotted curve can show.  A pair
+    whose two values are both exactly 0 is not judged by the strict flags:
+    at low alpha the Boltzmann factor underflows and F, U and S are exact
+    zeros at several grid points.  A failing point aborts the sweep and
+    reports its grid index.
     """
     a = np.array(spec.alphas)
     try:
@@ -211,9 +211,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
     _, f, u, s, c = arrays
     slack = 1e-12
     monotonicity = {
-        "F_bar_strictly_decreasing": bool(np.all(f[1:] < f[:-1])),
-        "U_bar_strictly_increasing": bool(np.all(u[1:] > u[:-1])),
-        "S_bar_strictly_increasing": bool(np.all(s[1:] > s[:-1])),
+        "F_bar_strictly_decreasing": _strict(f[1:] < f[:-1], f),
+        "U_bar_strictly_increasing": _strict(u[1:] > u[:-1], u),
+        "S_bar_strictly_increasing": _strict(s[1:] > s[:-1], s),
         "C_bar_non_decreasing": bool(np.all(c[1:] >= c[:-1] - slack)),
     }
     rows = zip(spec.alphas, *(v.tolist() for v in arrays), repeat(spec.z_method))

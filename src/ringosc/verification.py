@@ -7,6 +7,11 @@ difference, closed-form count vs brute-force loop) and reports the
 measured discrepancy next to its tolerance.  One informational entry
 documents the known gap between the two 1d closed-form variants without
 failing the run.
+
+``ALL_CHECKS`` is the one implementation of the acceptance criteria, run
+one check per case by ``tests/test_acceptance.py``.  Each tolerance or
+threshold is written once and stated in the result, as ``tolerance`` or
+as "(tol|bound|threshold ...)" in ``info``, where that test pins it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,20 @@ class CheckResult:
     informational: bool = False
 
 
+def _within(name: str, parts, ok: bool = True, note: str = "") -> CheckResult:
+    """A check of several (label, measured, tol) parts, each against its own tol.
+
+    It passes when every measured value is below its tol and ``ok`` holds;
+    ``measured`` is the largest measured/tol, against a tolerance of 1.
+    """
+    info = [f"{label}: {measured:.3e} (tol {tol:.0e})" for label, measured, tol in parts]
+    passed = ok and all(measured < tol for _, measured, tol in parts)
+    worst_scaled = max(measured / tol for _, measured, tol in parts)
+    return CheckResult(name, passed, worst_scaled, 1.0, "; ".join(info + ([note] if note else [])))
+
+
 def check_radial_spectrum() -> CheckResult:
+    tol = 1e-10
     worst = 0.0
     for n in range(4):
         for ell in range(4):
@@ -42,14 +60,15 @@ def check_radial_spectrum() -> CheckResult:
             worst = max(worst, abs(found - target) / target)
     return CheckResult(
         "radial quantization reproduces E/xi = 4n + 2l + 3",
-        worst < 1e-10,
+        worst < tol,
         worst,
-        1e-10,
+        tol,
         "(n, l) in {0..3}^2",
     )
 
 
 def check_angular_constants() -> CheckResult:
+    tol = 1e-10
     worst = 0.0
     for a2, a3 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         p = spectrum.PotentialParams(a1=1.0, a2=a2, a3=a3)
@@ -60,9 +79,9 @@ def check_angular_constants() -> CheckResult:
                 worst = max(worst, abs(solved - closed_form) / abs(closed_form))
     return CheckResult(
         "angular quantization reproduces the closed-form L",
-        worst < 1e-10,
+        worst < tol,
         worst,
-        1e-10,
+        tol,
         "s, m in {0..3}^2, (a2, a3) in {0,1}^2",
     )
 
@@ -81,17 +100,15 @@ def check_em3d_rational() -> CheckResult:
 
 def check_em3d_vs_direct(em3d_fn=None) -> CheckResult:
     em3d_fn = em3d_fn or (lambda a: partition.partition_em(partition.PartitionSpec(partition.THREE_D, a)).Z)
-    results = []
+    parts = []
     for alpha, tol in ((10.0, 1e-3), (50.0, 1e-4)):
         direct = partition.partition_direct(partition.PartitionSpec(partition.THREE_D, alpha)).Z
-        rel = abs(em3d_fn(alpha) - direct) / direct
-        results.append((alpha, rel, tol))
-    worst_scaled = max(rel / tol for _, rel, tol in results)
-    info = "; ".join(f"alpha={a:g}: rel={rel:.3e} (tol {tol:.0e})" for a, rel, tol in results)
-    return CheckResult("3d closed form vs certified direct sum", worst_scaled < 1.0, worst_scaled, 1.0, info)
+        parts.append((f"alpha={alpha:g} rel", abs(em3d_fn(alpha) - direct) / direct, tol))
+    return _within("3d closed form vs certified direct sum", parts)
 
 
 def check_em1d_vs_exact() -> CheckResult:
+    tol = 1e-4
     worst = 0.0
     for alpha in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
         exact = partition.partition_closed_form_1d(alpha).Z
@@ -99,9 +116,9 @@ def check_em1d_vs_exact() -> CheckResult:
         worst = max(worst, abs(derived - exact) / exact)
     return CheckResult(
         "1d derived closed form vs exact geometric form",
-        worst < 1e-4,
+        worst < tol,
         worst,
-        1e-4,
+        tol,
         "alpha in {1..100}",
     )
 
@@ -124,6 +141,7 @@ def info_em1d_variant_gap() -> CheckResult:
 
 
 def check_convergence_integral() -> CheckResult:
+    tol = 1e-10
     worst = 0.0
     for u in (0.5, 1.0, 2.0):
         closed = partition.convergence_integral(u)
@@ -131,9 +149,9 @@ def check_convergence_integral() -> CheckResult:
         worst = max(worst, abs(closed - numeric) / numeric)
     return CheckResult(
         "weighted Boltzmann integral: closed form vs adaptive quadrature",
-        worst < 1e-10,
+        worst < tol,
         worst,
-        1e-10,
+        tol,
         "beta*xi in {0.5, 1, 2}",
     )
 
@@ -141,14 +159,12 @@ def check_convergence_integral() -> CheckResult:
 def check_high_t_limits() -> CheckResult:
     pt3 = thermo.thermo_point(100.0, mode=partition.THREE_D, z_method="direct")
     pt1 = thermo.thermo_point(100.0, mode=partition.ONE_D, z_method="direct")
-    checks = (
+    parts = (
         ("3d C(100) vs 3", abs(pt3.C_bar / 3.0 - 1.0), 1e-2),
         ("1d C(100) vs 1", abs(pt1.C_bar - 1.0), 1e-2),
         ("3d U(100)/alpha vs 3", abs(pt3.U_bar / 300.0 - 1.0), 2e-2),
     )
-    worst_scaled = max(measured / tol for _, measured, tol in checks)
-    info = "; ".join(f"{label}: {measured:.3e} (tol {tol:.0e})" for label, measured, tol in checks)
-    return CheckResult("high-temperature limits", worst_scaled < 1.0, worst_scaled, 1.0, info)
+    return _within("high-temperature limits", parts)
 
 
 def check_thermo_identities() -> CheckResult:
@@ -168,30 +184,27 @@ def check_thermo_identities() -> CheckResult:
         c_fd = (u_plus - u_minus) / (2.0 * h)
         c = thermo.thermo_point(a, z_method="direct").C_bar
         worst_c = max(worst_c, abs(c_fd - c) / abs(c))
-    passed = worst_identity < 1e-9 and worst_c < 1e-5
-    return CheckResult(
+    return _within(
         "thermodynamic identities U = F + alpha S and C = dU/dalpha",
-        passed,
-        max(worst_identity / 1e-9, worst_c / 1e-5),
-        1.0,
-        f"identity rel={worst_identity:.3e} (tol 1e-9); dU/dalpha rel={worst_c:.3e} (tol 1e-5)",
+        (("identity rel", worst_identity, 1e-9), ("dU/dalpha rel", worst_c, 1e-5)),
     )
 
 
 def check_figure_shapes() -> CheckResult:
+    jump_threshold = 10.0
     notes = []
     passed = True
-    for mode, cap in ((partition.THREE_D, 3.0), (partition.ONE_D, 1.0)):
+    # C tends to 3 (3d) and 1 (1d) at high temperature; the bound allows 1e-2 over that
+    for mode, c_bound in ((partition.THREE_D, 3.0 + 1e-2), (partition.ONE_D, 1.0 + 1e-2)):
         spec = thermo.SweepSpec.from_grid(0.5, 100.0, 1200, "log", mode=mode, z_method="direct")
         result = thermo.sweep(spec)
-        flags = result.monotonicity
-        bounded = all(pt.C_bar <= cap + 1e-2 for pt in result.points)
-        scan = thermo.continuity_scan(spec, jump_threshold=10.0, points=result.points)
-        ok = all(flags.values()) and bounded and scan.passed
-        passed = passed and ok
+        monotone = all(result.monotonicity.values())
+        bounded = all(pt.C_bar <= c_bound for pt in result.points)
+        scan = thermo.continuity_scan(spec, jump_threshold=jump_threshold, points=result.points)
+        passed = passed and monotone and bounded and scan.passed
         notes.append(
-            f"{mode}: monotone={all(flags.values())}, C<= {cap}+1e-2: {bounded}, "
-            f"max jump ratio={scan.max_ratio:.2f}"
+            f"{mode}: monotone={monotone}, C bounded={bounded} (bound {c_bound:g}), "
+            f"max jump ratio={scan.max_ratio:.2f} (threshold {jump_threshold:g})"
         )
     return CheckResult(
         "figure shapes: monotone curves, bounded C, no jump signature",
@@ -261,13 +274,11 @@ def check_wavefunctions() -> CheckResult:
             signs = np.sign(f[np.abs(f) > 1e-13 * np.max(np.abs(f))])
             nodes = int(np.count_nonzero(signs[1:] != signs[:-1]))
             nodes_ok = nodes_ok and nodes == n
-    passed = worst_ode < 1e-5 and worst_overlap < 1e-8 and nodes_ok
-    return CheckResult(
+    return _within(
         "radial wavefunctions: ODE residual, orthogonality, node counts",
-        passed,
-        max(worst_ode / 1e-5, worst_overlap / 1e-8),
-        1.0,
-        f"ode rel={worst_ode:.3e} (tol 1e-5); overlap={worst_overlap:.3e} (tol 1e-8); nodes ok={nodes_ok}",
+        (("ode rel", worst_ode, 1e-5), ("overlap", worst_overlap, 1e-8)),
+        ok=nodes_ok,
+        note=f"nodes ok={nodes_ok}",
     )
 
 

@@ -200,7 +200,7 @@ def test_manifest_run_matches_flag_run(tmp_path):
         subcommand="sweep", alpha_min=1.0, alpha_max=50.0, points=40, figure="f1", out=str(man_out)
     )
     manifest_path = tmp_path / "run.json"
-    manifest.save(str(manifest_path))
+    manifest_path.write_text(json.dumps(manifest.to_dict()))
     assert main(["--manifest", str(manifest_path)]) == 0
     assert flag_out.read_bytes() == man_out.read_bytes()
 
@@ -266,10 +266,10 @@ def test_exit_code_io_error(tmp_path):
         ({"subcommand": "sweep", "points": 2.5}, 2),
         ({"subcommand": "sweep", "alpha_min": "1"}, 2),
         ({"figure": "f1"}, 2),
-        # the 'paper' variant exists for the 1d order-2 Euler-Maclaurin form only
-        ({"subcommand": "partition", "mode": "1d", "alphas": [1], "methods": ["em"], "em_order": 3,
-          "variant": "paper"}, 2),
+        # partition takes the 'paper' variant through the 'em-paper' method alone
+        ({"subcommand": "partition", "mode": "1d", "alphas": [1], "methods": ["em"], "variant": "paper"}, 2),
         ({"subcommand": "partition", "mode": "3d", "alphas": [1], "methods": ["em"], "variant": "paper"}, 2),
+        # the 'paper' variant exists for the 1d order-2 Euler-Maclaurin form only
         ({"subcommand": "sweep", "mode": "3d", "z_method": "em", "variant": "paper"}, 2),
         ({"subcommand": "sweep", "mode": "1d", "z_method": "direct", "variant": "paper"}, 2),
         ({"subcommand": "sweep", "figure": "f5", "variant": "paper"}, 2),
@@ -280,7 +280,7 @@ def test_exit_code_io_error(tmp_path):
         ({"subcommand": "spectrum", "mode": "2d"}, 2),
         ({"subcommand": "sweep", "spacing": "cubic"}, 2),
         ({"subcommand": "sweep", "z_method": "magic"}, 2),
-        # inputs that only the 'em' method reads, without it
+        # inputs that partition does not read, or that only the 'em' method reads, without it
         ({"subcommand": "partition", "mode": "3d", "alphas": [1], "methods": ["direct"], "variant": "paper"}, 2),
         ({"subcommand": "partition", "mode": "1d", "alphas": [1], "methods": ["exact"], "em_order": 5}, 2),
         ({"subcommand": "partition", "mode": "1d", "alphas": [1], "methods": ["em-paper"], "em_order": 3}, 2),
@@ -377,6 +377,7 @@ def test_flag_choices_are_the_manifest_choices():
         ["spectrum", "--mode", "1d"],
         ["sweep", "--methods", "em"],
         ["partition", "--alpha", "1", "--points", "5"],
+        ["partition", "--mode", "1d", "--alpha", "1", "--methods", "em", "--variant", "paper"],
         ["verify", "--format", "json"],
     ],
 )

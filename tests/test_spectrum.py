@@ -188,12 +188,6 @@ def test_degeneracy_brute_force_agreement():
         assert degeneracy_sum(n_prime) == degeneracy(n_prime)
 
 
-def test_degeneracy_parity_constrained_oracle():
-    # the parity-constrained counting gives the familiar triangular numbers
-    for n_prime in range(20):
-        assert degeneracy_sum(n_prime, parity_constrained=True) == (n_prime + 1) * (n_prime + 2) // 2
-
-
 def test_level_regrouping():
     # every (n, ell) with 2n + ell = n' sits at E/xi = 2 n' + 3, and the
     # unconstrained counting regroups into weight (1 + n')^2

@@ -26,9 +26,9 @@ from ringosc.thermo import (
 @pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
 def test_u_equals_f_plus_alpha_s(mode, z_method, scheme):
     tol = 1e-9 if scheme == "analytic" else 1e-6
-    for alpha in (0.7, 2.0, 13.0, 40.0):
-        pt = thermo_point(alpha, mode=mode, z_method=z_method, derivative_scheme=scheme)
-        assert abs(pt.U_bar - (pt.F_bar + alpha * pt.S_bar)) <= tol * max(1.0, abs(pt.U_bar))
+    grid = (0.7, 2.0, 13.0, 40.0)
+    for pt in sweep(SweepSpec(grid, mode=mode, z_method=z_method, derivative_scheme=scheme)).points:
+        assert abs(pt.U_bar - (pt.F_bar + pt.alpha_bar * pt.S_bar)) <= tol * max(1.0, abs(pt.U_bar))
 
 
 def test_c_is_derivative_of_u():
@@ -194,9 +194,12 @@ def test_sweep_within_ulps_of_math_loop(mode, z_method):
 
 SWEEP_CASES = {
     # below alpha ~ 2.7e-3 (3d) and 1.3e-3 (1d) x underflows: F, U and S are
-    # flat zeros there, so their strict flags are False
+    # exact zeros there, and a pair of two zeros is not judged
     "direct_3d_wide": dict(alphas=reference_grid("direct")),
     "direct_1d_wide": dict(alphas=reference_grid("direct"), mode=ONE_D),
+    # the grid of `sweep --alpha-min 0.001 --alpha-max 0.01 --points 8 --figure f1`,
+    # whose four zeros once made the strict flags False
+    "direct_3d_underflow": dict(alphas=tuple(np.geomspace(0.001, 0.01, 8).tolist())),
     # C from second differences is noisy above alpha ~ 6, so its flag is False
     "central_3d": dict(alphas=tuple(np.geomspace(0.25, 31.0, 40).tolist()), derivative_scheme="central_difference"),
     # the alternate 1d tail bends U and S down towards alpha ~ 70
@@ -214,9 +217,9 @@ def test_monotonicity_flags_equal_pairwise_comparisons(case):
         return list(zip(values, values[1:]))
 
     assert result.monotonicity == {
-        "F_bar_strictly_decreasing": all(b < a for a, b in pairs("F_bar")),
-        "U_bar_strictly_increasing": all(b > a for a, b in pairs("U_bar")),
-        "S_bar_strictly_increasing": all(b > a for a, b in pairs("S_bar")),
+        "F_bar_strictly_decreasing": all(b < a or a == b == 0.0 for a, b in pairs("F_bar")),
+        "U_bar_strictly_increasing": all(b > a or a == b == 0.0 for a, b in pairs("U_bar")),
+        "S_bar_strictly_increasing": all(b > a or a == b == 0.0 for a, b in pairs("S_bar")),
         "C_bar_non_decreasing": all(b >= a - 1e-12 for a, b in pairs("C_bar")),
     }
 
@@ -225,12 +228,15 @@ def test_monotonicity_flags_equal_pairwise_comparisons(case):
 @pytest.mark.parametrize("z_method", ["direct", "em"])
 @pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
 def test_point_equals_sweep_point(mode, z_method, scheme):
+    # thermo_point runs the analytic scheme; a one-point sweep runs either
     options = dict(mode=mode, z_method=z_method, derivative_scheme=scheme)
     grid = reference_grid("em")[::50]
     inside = sweep(SweepSpec(grid, **options)).points
     for a, in_grid in zip(grid, inside):
-        pt = thermo_point(a, **options)
-        assert pt == sweep(SweepSpec((a,), **options)).points[0] == in_grid
+        pt = sweep(SweepSpec((a,), **options)).points[0]
+        assert pt == in_grid
+        if scheme == "analytic":
+            assert thermo_point(a, mode, z_method) == pt
         assert all(type(v) is float for v in pt[:6])
 
 
@@ -332,7 +338,7 @@ def test_thermo_point_validation():
     with pytest.raises(UsageError):
         thermo_point(1.0, z_method="magic")
     with pytest.raises(DomainError):
-        thermo_point(100.0, mode=ONE_D, z_method="em", variant=VARIANT_PAPER)
+        thermo_point(0.1, mode=THREE_D, z_method="em")  # the 3d closed form is <= 0 there
 
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])

@@ -1,11 +1,12 @@
-"""The traced benchmark run (``perfbench/run.py --trace 1``) still finds
-every input it reads.
+"""The benchmark (``perfbench/run.py``) still runs against the library.
 
-Its probe takes medians over the spans of named library functions and
-reads the import time of ``scipy.integrate`` in a fresh ``import
-ringosc.cli``; a renamed or removed function, or an import made lazy,
-would end that run in an error.  The benchmark's own ``Tracer`` is used
-here as it is, wrapped around the same layers.
+Its traced run (``--trace 1``) takes medians over the spans of named
+library functions and reads the import time of ``scipy.integrate`` in a
+fresh ``import ringosc.cli``; a renamed or removed function, or an import
+made lazy, would end that run in an error.  The benchmark's own ``Tracer``
+is used here as it is, wrapped around the same layers.  Its in-process
+workloads call the library directly, so a changed signature would turn
+their operations into failures; they run here once, with their checks.
 """
 
 import contextlib
@@ -16,7 +17,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# the operations of each in-process workload that fail by a named fault
+# (workloads.FAULTS) at the default seed
+KNOWN_FAILED = {"thermo_wide": 2, "spectrum_states": 4}
 
 # the library spans of which the probe takes a median
 MEDIAN_SPANS = {
@@ -85,3 +92,12 @@ def test_cli_import_loads_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "True\n"
+
+
+@pytest.mark.parametrize("workload", KNOWN_FAILED)
+def test_in_process_workload_passes_its_checks(workload):
+    with benchmark_modules() as (_, workloads):
+        ops = workloads.build(workload, workloads.DEFAULT_SEED)
+        failed, problems = workloads.classify(ops, [workloads.run_op(op) for op in ops])
+    assert problems == []
+    assert failed <= KNOWN_FAILED[workload], f"{failed} of {len(ops)} operations failed by a named fault"
