@@ -398,8 +398,17 @@ def _flag_type(annotation: str):
     return comma_list
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ``UsageError``s, so that ``main``
+    reports a bad flag in one line like any other usage error; its
+    subparsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ringosc", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="ringosc", description=__doc__.split("\n\n")[0])
     parser.add_argument("--manifest", help="JSON run manifest; replaces all other flags")
     sub = parser.add_subparsers(dest="subcommand")
     fields = {field.name: field for field in dataclasses.fields(RunManifest)}
@@ -431,8 +440,8 @@ def run(manifest: RunManifest) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.manifest is not None:
             manifest = RunManifest.load(args.manifest)
         elif args.subcommand is None:

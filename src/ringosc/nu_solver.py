@@ -6,7 +6,13 @@
 ``derive`` turns the six template coefficients into the downstream
 parameter set, ``quantization_residual`` evaluates the standard
 termination rule, and ``solve_bracketed`` finds the root of a residual in
-the unknown a caller embedded in the coefficients.
+the unknown a caller embedded in the coefficients.  Its first trial point
+is the secant of the bracket, which is exact for an affine residual; the
+radial rule (beta9 = 1/4, beta7 linear in E) and the angular rule
+(beta9 = beta8/4 free of ell(ell+1)) are both affine in their unknown.
+
+``NUProblem`` and ``NUDerived`` are plain tuple records: a root find
+builds both at every residual evaluation.
 
 beta8 and beta9 are returned raw, possibly negative; every square root
 is taken at the point of use behind an explicit check, so ``derive`` is
@@ -17,7 +23,7 @@ total and the non-existence of a bound state surfaces as a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BranchError, ConvergenceError, DomainError
 
@@ -34,38 +40,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NUProblem:
-    """The six coefficients of the template equation."""
+class NUProblem(namedtuple("NUProblem", "beta1 beta2 beta3 xi1 xi2 xi3")):
+    """The six coefficients of the template equation, as a tuple record.
 
-    beta1: float
-    beta2: float
-    beta3: float
-    xi1: float
-    xi2: float
-    xi3: float
+    Building one, by its fields or through ``_make`` and ``_replace``,
+    raises ``DomainError`` naming the first coefficient that is not
+    finite.
+    """
 
-    def __post_init__(self):
-        for name in ("beta1", "beta2", "beta3", "xi1", "xi2", "xi3"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+    __slots__ = ()
+
+    def __new__(cls, beta1, beta2, beta3, xi1, xi2, xi3):
+        values = (beta1, beta2, beta3, xi1, xi2, xi3)
+        # one finite sum means six finite terms; only a failed sum needs the field-by-field look
+        if not math.isfinite(beta1 + beta2 + beta3 + xi1 + xi2 + xi3):
+            for name, value in zip(cls._fields, values):
+                if not math.isfinite(value):
+                    raise DomainError(f"{name} must be finite")
+        return tuple.__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class NUDerived:
-    """Derived parameters beta4..beta9 plus the source problem.
+class NUDerived(namedtuple("NUDerived", "problem beta4 beta5 beta6 beta7 beta8 beta9")):
+    """Derived parameters beta4..beta9 plus the source problem, as a tuple record.
 
     sqrt(beta8) and sqrt(beta9) are taken through ``_root8`` and
     ``_root9``, which raise ``BranchError`` when the radicand is negative.
     """
 
-    problem: NUProblem
-    beta4: float
-    beta5: float
-    beta6: float
-    beta7: float
-    beta8: float
-    beta9: float
+    __slots__ = ()
 
     def _root8(self) -> float:
         if self.beta8 < 0.0:
@@ -121,11 +127,17 @@ def solve_bracketed(func, lo: float, hi: float) -> float:
     """Root of a continuous scalar function, bracketing then refining.
 
     The initial interval is expanded by doubling until the endpoints
-    straddle a sign change, then bisection interleaved with secant steps
-    shrinks it.  Terminates when |f| <= RESIDUAL_TOL or the bracket is
-    at rounding width.  Derivative-free on purpose: the termination-rule
-    residuals are monotone in their embedded unknown, so bracketing is
-    robust and cheap.
+    straddle a sign change.  The first trial point is the secant of that
+    bracket (the midpoint if rounding puts the secant on an endpoint),
+    and each later one the secant of the shrunk bracket, falling back to
+    its midpoint when the secant leaves it.  Terminates when
+    |f| <= RESIDUAL_TOL or the bracket is at rounding width.
+
+    Derivative-free on purpose: the termination-rule residuals are
+    monotone in their embedded unknown, so bracketing is robust and
+    cheap.  Both rules that ``spectrum`` solves are affine in their
+    unknown, so the first secant lands on the root and a root inside the
+    initial bracket costs three evaluations of ``func``.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
@@ -145,9 +157,11 @@ def solve_bracketed(func, lo: float, hi: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    a, b, fa, fb = lo, hi, flo, fhi
-    x = 0.5 * (a + b)
+    a, b, fa, fb = lo, hi, flo, fhi  # fa and fb keep opposite signs, so fb != fa
     for _ in range(MAX_ITERATIONS):
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
         fx = func(x)
         if abs(fx) <= RESIDUAL_TOL:
             return x
@@ -157,9 +171,4 @@ def solve_bracketed(func, lo: float, hi: float) -> float:
             a, fa = x, fx
         if b - a <= 1e-15 * max(1.0, abs(a), abs(b)):
             return 0.5 * (a + b)
-        x = 0.5 * (a + b)
-        if fb != fa:
-            secant = b - fb * (b - a) / (fb - fa)
-            if a < secant < b:
-                x = secant
     return x

@@ -43,14 +43,15 @@ def jacobi_poly(degree: int, a: float, b: float, x: float) -> float:
         raise DomainError(f"jacobi argument must lie in [-1, 1], got {x}")
     if degree == 0:
         return 1.0
+    ab = a + b
+    a2_b2 = a * a - b * b
     prev = 1.0
-    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    cur = 0.5 * (a - b) + 0.5 * (ab + 2.0) * x
     for k in range(2, int(degree) + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (
-            (2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b
-        )
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+        t = 2.0 * k + ab  # 2k + a + b
+        c1 = 2.0 * k * (k + ab) * (t - 2.0)
+        c2 = (t - 1.0) * (t * (t - 2.0) * x + a2_b2)
+        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t
         cur, prev = (c2 * cur - c3 * prev) / c1, cur
     return cur
 

@@ -92,18 +92,19 @@ class PotentialParams:
 
 
 def _sin_strength(p: PotentialParams, m: int) -> float:
-    # coefficient of 1/sin^2 in the angular equation: m^2 + 2 M a2^2 / hbar^2
-    return m * m + 2.0 * p.mass * p.a2 ** 2 / p.hbar ** 2
+    # coefficient of 1/sin^2 in the angular equation: m^2 + 2 M a2^2 / hbar^2;
+    # a2^2 comes first, so that a2 = 0 gives 0 and not inf * 0 at M > 8.9e307
+    return m * m + p.a2 ** 2 * p.mass * 2.0 / p.hbar ** 2
 
 
 def _cot_strength(p: PotentialParams) -> float:
     # coefficient of cot^2 in the angular equation: 2 M a3^2 / hbar^2
-    return 2.0 * p.mass * p.a3 ** 2 / p.hbar ** 2
+    return p.a3 ** 2 * p.mass * 2.0 / p.hbar ** 2
 
 
 def big_lambda(p: PotentialParams, m: int) -> float:
     """Lambda = sqrt(1 + m^2 + (2M/hbar^2)(a2^2 + a3^2))."""
-    return math.sqrt(1.0 + m * m + 2.0 * p.mass * (p.a2 ** 2 + p.a3 ** 2) / p.hbar ** 2)
+    return math.sqrt(1.0 + m * m + (p.a2 ** 2 + p.a3 ** 2) * p.mass * 2.0 / p.hbar ** 2)
 
 
 @dataclass(frozen=True)

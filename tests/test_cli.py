@@ -236,9 +236,7 @@ def test_render_csv_uses_lf_and_17_digits():
 
 
 def test_exit_code_usage_error():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "--spacing", "diagonal"])
-    assert excinfo.value.code == 2
+    assert main(["sweep", "--spacing", "diagonal"]) == 2
 
 
 def test_exit_code_usage_error_from_manifest():
@@ -382,16 +380,22 @@ def test_flag_choices_are_the_manifest_choices():
     ],
 )
 def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_no_subcommand_is_usage_error():
+def test_no_subcommand_is_usage_error(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err == "usage error: ringosc: a subcommand or --manifest is required\n"
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == 2
+        main(["partition", "--help"])
+    assert excinfo.value.code == 0
+    assert "--alpha" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------- verify

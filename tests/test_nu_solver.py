@@ -36,6 +36,29 @@ def test_derive_radial_template_literal(ell, eps):
     assert d.beta9 == 0.25
 
 
+@pytest.mark.parametrize("field", range(6))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_coefficient(field, bad):
+    names = ("beta1", "beta2", "beta3", "xi1", "xi2", "xi3")
+    values = [0.5, 1.0, 0.0, 0.25, -1.5, 2.0]
+    values[field] = bad
+    with pytest.raises(DomainError, match=f"^{names[field]} must be finite$"):
+        NUProblem(*values)
+    with pytest.raises(DomainError, match=f"^{names[field]} "):
+        NUProblem(**dict(zip(names, values)))
+
+
+def test_problem_checks_finiteness_through_make_and_replace():
+    p = NUProblem(0.5, 1.0, 0.0, 0.25, -1.5, 2.0)
+    assert NUProblem._make(p) == p and p._replace(xi2=3.0).xi2 == 3.0
+    with pytest.raises(DomainError, match="^xi2 must be finite$"):
+        p._replace(xi2=math.nan)
+    with pytest.raises(DomainError, match="^beta1 must be finite$"):
+        NUProblem._make([math.inf, 1.0, 0.0, 0.25, -1.5, 2.0])
+    # six finite coefficients whose sum overflows are accepted
+    assert NUProblem(1e308, 1e308, 0.0, 0.0, 0.0, 0.0).beta2 == 1e308
+
+
 def test_derive_deterministic():
     p = NUProblem(0.7, -0.2, 0.5, 1.1, -0.4, 0.9)
     assert derive(p) == derive(p)
@@ -160,6 +183,45 @@ def test_solve_bracketed_expands_and_finds_root():
 def test_solve_bracketed_nonlinear():
     root = solve_bracketed(lambda x: math.exp(x) - 5.0, 0.0, 1.0)
     assert root == pytest.approx(math.log(5.0), rel=1e-12)
+
+
+def counting(func):
+    """func and a list whose length is the number of calls of it."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return func(x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, 0.999])
+def test_solve_bracketed_affine_root_in_bracket_costs_three_evaluations(root):
+    # two endpoints and the secant, which lands on the root of an affine residual
+    func, calls = counting(lambda x: 2.5 * (x - root))
+    assert solve_bracketed(func, 0.0, 1.0) == pytest.approx(root, abs=1e-12)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n,ell", [(0, 0.0), (3, 1.5), (17, 4.0), (60, 0.37), (199, 12.0)])
+def test_radial_root_costs_three_evaluations(n, ell):
+    # the radial rule is affine in E and its root lies inside spectrum's bracket
+    func, calls = counting(lambda e: quantization_residual(derive(radial_problem(ell, e)), n))
+    root = solve_bracketed(func, 0.0, 8.0 * (n + ell + 2.0))
+    assert root == pytest.approx(4.0 * n + 2.0 * ell + 3.0, rel=1e-12)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("s,m", [(0, 0), (2, 1), (7, 3), (12, 6)])
+def test_angular_root_costs_three_evaluations(s, m):
+    # beta9 of the angular rule does not depend on ell(ell+1), so it is affine too
+    p = PotentialParams(a1=1.0, a2=0.8, a3=1.3)
+    func, calls = counting(lambda q: quantization_residual(derive(angular_problem(p, m, q)), s))
+    root = solve_bracketed(func, 0.0, 8.0 * (s + 2.0) ** 2)
+    ell_eff = angular_solution(p, s, m).ell_eff
+    assert root == pytest.approx(ell_eff * (ell_eff + 1.0), rel=1e-12)
+    assert len(calls) == 3
 
 
 def test_solve_bracketed_no_root():

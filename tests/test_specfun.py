@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,33 @@ def test_jacobi_asymmetric_vs_series_oracle(n, a, b, x):
     assert jacobi_poly(n, a, b, x) == pytest.approx(
         jacobi_series_oracle(n, a, b, x), rel=1e-12, abs=1e-12
     )
+
+
+# degrees up to 120 and indices across (-0.9, 60], a == b (the angular
+# states) and a != b, on Chebyshev points of [-1, 1] plus the endpoints
+# and points 1e-6 inside them
+JACOBI_MP_DEGREES = (1, 2, 5, 12, 30, 60, 90, 120)
+JACOBI_MP_INDICES = (
+    (-0.899, -0.899), (-0.5, -0.5), (0.0, 0.0), (1.0, 1.0), (2.3, 2.3), (13.7, 13.7), (60.0, 60.0),
+    (-0.899, 0.3), (0.5, 5.0), (5.0, 0.5), (17.2, 33.1), (60.0, -0.899), (-0.899, 60.0), (41.5, 7.25),
+)
+JACOBI_MP_X = tuple(math.cos(math.pi * (k + 0.5) / 31) for k in range(31)) + (-1.0, -1.0 + 1e-6, 1.0 - 1e-6, 1.0)
+
+
+@pytest.mark.parametrize("n", JACOBI_MP_DEGREES)
+def test_jacobi_vs_mpmath(n):
+    # The error is measured against the largest |P| on the grid, which is
+    # max(|P(1)|, |P(-1)|) whenever max(a, b) >= -1/2.  A relative error is
+    # not bounded near the zeros of P: the recurrence rounds at the scale
+    # of P, so at the zero next to x = 1 a value 1e-3 of that scale carries
+    # a relative error of about 2e-11 (s = 120, a = -0.9, b = 1.6).
+    with mp.workdps(40):
+        for a, b in JACOBI_MP_INDICES:
+            want = [mp.jacobi(n, a, b, x) for x in JACOBI_MP_X]
+            scale = max(abs(w) for w in want)
+            for x, w in zip(JACOBI_MP_X, want):
+                err = abs(jacobi_poly(n, a, b, x) - w) / scale
+                assert err <= 1e-12, (n, a, b, x, float(err))
 
 
 @given(

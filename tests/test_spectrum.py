@@ -149,6 +149,15 @@ def test_a3_only_limit_is_a2_only_form():
     assert sol.L == pytest.approx(-0.5 + sol.Lambda + 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("mass", [8.98846567431158e307, 1.7e308])
+@pytest.mark.parametrize("s,m", [(0, 0), (3, 2)])
+def test_zero_couplings_at_huge_mass(mass, s, m):
+    # 2 M overflows to inf here; zero couplings must still add 0, not inf * 0 = nan
+    sol = angular_solution(PotentialParams(a1=1.0, mass=mass), s, m)
+    assert sol.Lambda == math.sqrt(1.0 + m * m)
+    assert sol.L == -0.5 + sol.Lambda + s
+
+
 @pytest.mark.parametrize("a3", [1e16, 1e17])
 @pytest.mark.parametrize("s,m", [(0, 0), (1, 0), (3, 2)])
 def test_angular_constant_at_large_a3_vs_mpmath(a3, s, m):
