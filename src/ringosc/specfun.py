@@ -1,10 +1,13 @@
 """Special functions needed by the spectral and thermal modules.
 
-Everything here is exact at desk scale: Jacobi polynomials by the
-three-term recurrence, terminating confluent hypergeometric sums,
-Gamma-function ratios as telescoping products, and a lookup table of
-exact-rational Bernoulli numbers.  No general special-function library
-is involved; these are the only pieces the rest of the package needs.
+Everything here is exact at desk scale: Jacobi and Laguerre polynomials
+by their three-term recurrences (DLMF 18.9), and a lookup table of
+exact-rational Bernoulli numbers.  The terminating confluent
+hypergeometric sum and the Gamma-function ratio are the paper's form of
+the radial polynomial, L_n^(a)(y) = C(n + a, n) 1F1(-n; a + 1; y)
+(DLMF 13.6); they are kept as the oracle that ``verification`` checks
+the Laguerre recurrence against, and nothing else calls them.  No
+general special-function library is involved.
 
 All functions are pure and hold no state.
 """
@@ -18,6 +21,7 @@ from .errors import DomainError
 
 __all__ = [
     "jacobi_poly",
+    "laguerre_poly",
     "hyp1f1_terminating",
     "gamma_ratio_prefactor",
     "bernoulli",
@@ -28,11 +32,15 @@ __all__ = [
 def jacobi_poly(degree: int, a: float, b: float, x: float) -> float:
     """Evaluate P_degree^(a, b)(x) for x in [-1, 1].
 
-    Uses the ascending three-term recurrence, which is stable for the
-    symmetric a == b indices the angular solutions need and avoids the
-    cancellation of the explicit series form.  The series definition is
-    deliberately kept out of the library; it lives in the test suite as an
-    independent oracle.
+    Uses the ascending three-term recurrence, which avoids the
+    cancellation of the explicit series form.  For the symmetric a == b
+    indices of the angular solutions it runs the b = a form, divided
+    through by 4(k + a - 1):
+
+        P_k = (k + a) ((2k + 2a - 1) x P_{k-1} - (k + a - 1) P_{k-2}) / (k (k + 2a)).
+
+    The series definition is deliberately kept out of the library; it
+    lives in the test suite as an independent oracle.
     """
     if degree < 0 or int(degree) != degree:
         raise DomainError(f"degree must be a non-negative integer, got {degree}")
@@ -43,9 +51,15 @@ def jacobi_poly(degree: int, a: float, b: float, x: float) -> float:
         raise DomainError(f"jacobi argument must lie in [-1, 1], got {x}")
     if degree == 0:
         return 1.0
+    prev = 1.0
+    if a == b:
+        cur = (a + 1.0) * x
+        for k in range(2, int(degree) + 1):
+            ka = k + a
+            cur, prev = ka * ((2.0 * ka - 1.0) * x * cur - (ka - 1.0) * prev) / (k * (ka + a)), cur
+        return cur
     ab = a + b
     a2_b2 = a * a - b * b
-    prev = 1.0
     cur = 0.5 * (a - b) + 0.5 * (ab + 2.0) * x
     for k in range(2, int(degree) + 1):
         t = 2.0 * k + ab  # 2k + a + b
@@ -53,6 +67,29 @@ def jacobi_poly(degree: int, a: float, b: float, x: float) -> float:
         c2 = (t - 1.0) * (t * (t - 2.0) * x + a2_b2)
         c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t
         cur, prev = (c2 * cur - c3 * prev) / c1, cur
+    return cur
+
+
+def laguerre_poly(n: int, a: float, y: float) -> float:
+    """Evaluate the generalized Laguerre polynomial L_n^(a)(y) for y >= 0.
+
+    Runs the forward recurrence
+    L_{k+1} = ((2k + 1 + a - y) L_k - (k + a) L_{k-1}) / (k + 1) from
+    L_0 = 1 and L_1 = 1 + a - y.  Unlike the alternating 1F1 sum it
+    rounds at the scale of the polynomial, not of its largest term.
+    """
+    if n < 0 or int(n) != n:
+        raise DomainError(f"n must be a non-negative integer, got {n}")
+    if not math.isfinite(a) or a <= -1.0:
+        raise DomainError(f"a must be finite and > -1, got {a}")
+    if not math.isfinite(y) or y < 0.0:
+        raise DomainError(f"argument must be finite and >= 0, got {y}")
+    if n == 0:
+        return 1.0
+    c = a - y
+    prev, cur = 1.0, 1.0 + c
+    for k in range(1, int(n)):
+        cur, prev = ((2.0 * k + 1.0 + c) * cur - (k + a) * prev) / (k + 1.0), cur
     return cur
 
 

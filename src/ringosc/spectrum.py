@@ -8,7 +8,10 @@ and an angular equation whose bound solutions fix that constant.  Both
 become instances of the template equation in ``nu_solver`` after the
 substitutions y = 1 + cos(theta) (angular) and y proportional to r^2
 (radial); this module builds those instances, solves the termination
-rules, and assembles the un-normalized wavefunction pieces.
+rules, and assembles the un-normalized wavefunction pieces: the radial
+factor is a generalized Laguerre polynomial and the angular factor a
+symmetric Jacobi polynomial, each evaluated by one three-term recurrence
+(``specfun.laguerre_poly`` and ``specfun.jacobi_poly``).
 
 Energies are reported in units of the level spacing scale
 
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 from .nu_solver import NUProblem, derive, quantization_residual, solve_bracketed
-from .specfun import gamma_ratio_prefactor, hyp1f1_terminating, jacobi_poly
+from .specfun import jacobi_poly, laguerre_poly
 
 __all__ = [
     "PotentialParams",
@@ -164,13 +167,17 @@ def angular_constant_from_quantization(p: PotentialParams, s: int, m: int) -> fl
     ell_eff = -1/2 + sqrt(1/4 + ell(ell+1)) and L = ell_eff - 1/2.
     Agreeing with ``angular_solution(p, s, m).L`` is the correctness
     check on the whole angular mapping.
+
+    The bracket [0, (s + Lambda + 1)^2] always holds the root: the closed
+    form gives ell_eff <= s + Lambda, so ell_eff (ell_eff + 1) lies below
+    its upper end, and ell_eff >= 1 keeps it above 0.
     """
 
     def residual(separation_constant: float) -> float:
         d = derive(angular_problem(p, m, separation_constant))
         return quantization_residual(d, s)
 
-    root = solve_bracketed(residual, 0.0, 8.0 * (s + 2.0) ** 2)
+    root = solve_bracketed(residual, 0.0, (s + big_lambda(p, m) + 1.0) ** 2)
     ell_eff = -0.5 + math.sqrt(0.25 + root)
     return ell_eff - 0.5
 
@@ -292,19 +299,24 @@ def radial_variable(p: PotentialParams, r: float) -> float:
 
 
 def radial_wavefunction(p: PotentialParams, n: int, ell: float, r: float) -> float:
-    """Un-normalized reduced radial function f(r) = y^mu e^(-y/2) h(y).
+    """Un-normalized reduced radial function f(r) = y^mu e^(-y/2) L_n^(ell+1/2)(y).
 
-    h is the Gamma-ratio prefactor times the terminating confluent series
-    1F1(-n; 3/2 + ell; y); mu = (ell + 1)/2, so f vanishes at the origin
-    and decays as a Gaussian.  Finite for every r >= 0.
+    mu = (ell + 1)/2, so f vanishes at the origin and decays as a
+    Gaussian.  The Laguerre polynomial equals the paper's Gamma-ratio
+    prefactor times the terminating series 1F1(-n; 3/2 + ell; y) and is
+    evaluated by its recurrence, which keeps its digits where that
+    alternating sum cancels.  y^mu e^(-y/2) is taken as one exponential,
+    so it underflows to 0 where y^mu alone would overflow.  Needs
+    ell >= 0 and a finite r >= 0.
     """
     if r < 0.0:
         raise DomainError(f"r must be >= 0, got {r}")
+    if ell < 0.0:
+        raise DomainError(f"ell must be >= 0, got {ell}")
     y = radial_variable(p, r)
     mu = 0.5 * (ell + 1.0)
-    prefactor = gamma_ratio_prefactor(int(n), ell)
-    series = hyp1f1_terminating(int(n), 1.5 + ell, y)
-    return y ** mu * math.exp(-0.5 * y) * prefactor * series
+    poly = laguerre_poly(n, ell + 0.5, y)
+    return (math.exp(mu * math.log(y) - 0.5 * y) if y > 0.0 else y ** mu) * poly
 
 
 def angular_wavefunction(sol: AngularSolution, theta: float) -> float:
@@ -314,15 +326,16 @@ def angular_wavefunction(sol: AngularSolution, theta: float) -> float:
     at y = 1 + cos(theta), with the (1 - y)^Lambda factor taken as
     |1 - y|^Lambda: for non-integer Lambda the literal power is not
     real-valued on theta < pi/2, and the modulus is what node and zero
-    diagnostics need.  theta = 0 and pi are coordinate singularities and
-    rejected.
+    diagnostics need.  As y >= 0, the two powers are taken as one,
+    y |y (1 - y)|^Lambda.  theta = 0 and pi are coordinate singularities
+    and rejected.
     """
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
     y = 1.0 + math.cos(theta)
     w = 1.0 - y
     jac = jacobi_poly(sol.s, sol.Lambda, sol.Lambda, w)
-    return y ** (1.0 + sol.Lambda) * abs(w) ** sol.Lambda * jac
+    return y * abs(y * w) ** sol.Lambda * jac
 
 
 def total_wavefunction(

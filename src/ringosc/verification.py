@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from . import partition, spectrum, thermo
+from . import partition, specfun, spectrum, thermo
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
 
@@ -274,9 +274,25 @@ def check_wavefunctions() -> CheckResult:
             signs = np.sign(f[np.abs(f) > 1e-13 * np.max(np.abs(f))])
             nodes = int(np.count_nonzero(signs[1:] != signs[:-1]))
             nodes_ok = nodes_ok and nodes == n
+    # the Laguerre recurrence against the paper's form, Gamma ratio times
+    # 1F1; the error is relative to the largest |f| of the state, which
+    # covers the cancellation of the alternating 1F1 sum
+    worst_paper = 0.0
+    r_coarse = r_grid[::4].tolist()
+    for ell in (0.0, 2.5):
+        for n in range(11):
+            prefactor = specfun.gamma_ratio_prefactor(n, ell)
+            want = []
+            for r in r_coarse:
+                y = spectrum.radial_variable(p, r)
+                series = specfun.hyp1f1_terminating(n, 1.5 + ell, y)
+                want.append(y ** (0.5 * (ell + 1.0)) * math.exp(-0.5 * y) * prefactor * series)
+            got = [spectrum.radial_wavefunction(p, n, ell, r) for r in r_coarse]
+            scale = max(abs(w) for w in want)
+            worst_paper = max(worst_paper, max(abs(g - w) for g, w in zip(got, want)) / scale)
     return _within(
-        "radial wavefunctions: ODE residual, orthogonality, node counts",
-        (("ode rel", worst_ode, 1e-5), ("overlap", worst_overlap, 1e-8)),
+        "radial wavefunctions: ODE residual, orthogonality, node counts, 1F1 form",
+        (("ode rel", worst_ode, 1e-5), ("overlap", worst_overlap, 1e-8), ("1F1 form", worst_paper, 1e-10)),
         ok=nodes_ok,
         note=f"nodes ok={nodes_ok}",
     )

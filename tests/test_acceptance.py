@@ -37,8 +37,9 @@ PINNED = {
     "check_thermo_identities": (1.0, (("tol", 1e-9), ("tol", 1e-5))),
     # c07: figure shapes on alpha in [0.5, 100], 3d then 1d
     "check_figure_shapes": (0.0, (("bound", 3.01), ("threshold", 10.0), ("bound", 1.01), ("threshold", 10.0))),
-    # c08: radial ODE residual, orthogonality and node counts
-    "check_wavefunctions": (1.0, (("tol", 1e-5), ("tol", 1e-8))),
+    # c08: radial ODE residual, orthogonality, node counts, and the Laguerre
+    # recurrence against the paper's Gamma-ratio times 1F1 form
+    "check_wavefunctions": (1.0, (("tol", 1e-5), ("tol", 1e-8), ("tol", 1e-10))),
     # c09: closed-form convergence integral against adaptive quadrature
     "check_convergence_integral": (1e-10, ()),
     # c10: brute-force degeneracy equals (1 + n')^2 for n' <= 50

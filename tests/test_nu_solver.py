@@ -4,9 +4,16 @@ import math
 
 import pytest
 
+from ringosc import spectrum
 from ringosc.errors import BranchError, ConvergenceError, DomainError
 from ringosc.nu_solver import NUProblem, derive, quantization_residual, solve_bracketed
-from ringosc.spectrum import PotentialParams, angular_problem, angular_solution, radial_problem
+from ringosc.spectrum import (
+    PotentialParams,
+    angular_constant_from_quantization,
+    angular_problem,
+    angular_solution,
+    radial_problem,
+)
 
 
 # ------------------------------------------------------------------ derive
@@ -213,14 +220,15 @@ def test_radial_root_costs_three_evaluations(n, ell):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("s,m", [(0, 0), (2, 1), (7, 3), (12, 6)])
-def test_angular_root_costs_three_evaluations(s, m):
-    # beta9 of the angular rule does not depend on ell(ell+1), so it is affine too
+@pytest.mark.parametrize("s,m", [(0, 0), (2, 1), (7, 3), (12, 6), (0, 6), (3, 40)])
+def test_angular_root_costs_three_evaluations(monkeypatch, s, m):
+    # beta9 of the angular rule does not depend on ell(ell+1), so it is affine
+    # too, and spectrum's bracket holds the root also where Lambda is large
     p = PotentialParams(a1=1.0, a2=0.8, a3=1.3)
-    func, calls = counting(lambda q: quantization_residual(derive(angular_problem(p, m, q)), s))
-    root = solve_bracketed(func, 0.0, 8.0 * (s + 2.0) ** 2)
-    ell_eff = angular_solution(p, s, m).ell_eff
-    assert root == pytest.approx(ell_eff * (ell_eff + 1.0), rel=1e-12)
+    func, calls = counting(derive)
+    monkeypatch.setattr(spectrum, "derive", func)
+    L = angular_constant_from_quantization(p, s, m)
+    assert L == pytest.approx(angular_solution(p, s, m).L, rel=1e-12)
     assert len(calls) == 3
 
 

@@ -15,6 +15,7 @@ from ringosc.specfun import (
     gamma_ratio_prefactor,
     hyp1f1_terminating,
     jacobi_poly,
+    laguerre_poly,
 )
 
 
@@ -50,15 +51,6 @@ def hyp1f1_binomial_oracle(n, b, y):
         total += term
         scale += abs(term)
     return total, scale
-
-
-def laguerre_recurrence_oracle(n, alpha, y):
-    prev, cur = 1.0, 1.0 + alpha - y
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        cur, prev = ((2 * k + 1 + alpha - y) * cur - (k + alpha) * prev) / (k + 1), cur
-    return cur
 
 
 # ----------------------------------------------------------------- jacobi
@@ -144,6 +136,48 @@ def test_jacobi_argument_out_of_range():
         jacobi_poly(2, 1.0, 1.0, 1.5)
 
 
+# --------------------------------------------------------------- laguerre
+
+
+def test_laguerre_low_degrees():
+    assert laguerre_poly(0, 2.5, 7.0) == 1.0
+    assert laguerre_poly(1, 2.5, 0.75) == 2.75
+    # L_2^(a)(y) = ((a + 1)(a + 2) - 2 (a + 2) y + y^2) / 2
+    assert laguerre_poly(2, 1.0, 3.0) == pytest.approx(-1.5, rel=1e-15)
+
+
+# degrees up to 300 and indices across (-1, 60], on y in [0, 60] plus a
+# point 1e-6 above 0
+LAGUERRE_MP_DEGREES = (1, 2, 5, 12, 40, 100, 200, 300)
+LAGUERRE_MP_INDICES = (-0.999, -0.5, 0.0, 0.5, 2.5, 12.5, 37.0, 60.0)
+LAGUERRE_MP_Y = tuple(2.0 * k for k in range(31)) + (1e-6,)
+
+
+@pytest.mark.parametrize("n", LAGUERRE_MP_DEGREES)
+def test_laguerre_vs_mpmath(n):
+    # The error is measured against the largest |L| on the grid: the
+    # recurrence rounds at the scale of L, so near its zeros a relative
+    # error is not bounded.  It grows with n, to 8.2e-14 at n = 300.
+    # zeroprec lets mpmath return the exact zero L_1^(37)(38) = 0.
+    with mp.workdps(40):
+        for a in LAGUERRE_MP_INDICES:
+            want = [mp.laguerre(n, a, y, zeroprec=1000) for y in LAGUERRE_MP_Y]
+            scale = max(abs(w) for w in want)
+            for y, w in zip(LAGUERRE_MP_Y, want):
+                err = abs(laguerre_poly(n, a, y) - w) / scale
+                assert err <= 1e-12, (n, a, y, float(err))
+
+
+@pytest.mark.parametrize(
+    "n,a,y",
+    [(-1, 0.5, 1.0), (2.5, 0.5, 1.0), (2, -1.0, 1.0), (2, math.inf, 1.0), (2, math.nan, 1.0),
+     (2, 0.5, -0.1), (2, 0.5, math.inf), (2, 0.5, math.nan)],
+)
+def test_laguerre_bad_params(n, a, y):
+    with pytest.raises(DomainError):
+        laguerre_poly(n, a, y)
+
+
 # -------------------------------------------------------------------- 1f1
 
 
@@ -160,7 +194,7 @@ def test_hyp1f1_vs_laguerre_identity():
     # 1F1(-n; b; y) = L_n^(b-1)(y) / C(n + b - 1, n), scale = (b)_n / n!
     n, b, y = 3, 2.5, 0.8
     scale = (b * (b + 1) * (b + 2)) / math.factorial(n)
-    oracle = laguerre_recurrence_oracle(n, b - 1.0, y) / scale
+    oracle = laguerre_poly(n, b - 1.0, y) / scale
     value = hyp1f1_terminating(n, b, y)
     assert value == pytest.approx(oracle, rel=1e-13)
     assert value == pytest.approx(0.24642539682539685, rel=1e-13)  # frozen from the oracle

@@ -221,6 +221,24 @@ def test_radial_wavefunction_finite_everywhere():
         assert math.isfinite(value)
 
 
+@pytest.mark.parametrize(
+    "ell,r", [(-1.2, 0.0), (-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.0, -0.1), (0.0, math.nan), (0.0, math.inf)]
+)
+def test_radial_wavefunction_domain(ell, r):
+    with pytest.raises(DomainError):
+        radial_wavefunction(NATURAL, 2, ell, r)
+
+
+# states where the alternating 1F1 sum cancels (n >= 40) and where y^mu
+# alone overflows (ell = 200) while the value lies below the smallest double
+@pytest.mark.parametrize("n,ell,r", [(40, 0.0, 3.0), (80, 0.0, 5.0), (150, 0.0, 5.0), (0, 200.0, 100.0)])
+def test_radial_wavefunction_vs_mpmath(n, ell, r):
+    with mp.workdps(40):
+        y = mp.mpf(math.sqrt(2.0) * r * r)  # the y the library evaluates at
+        want = float(y ** ((ell + 1) / 2) * mp.exp(-y / 2) * mp.laguerre(n, ell + 0.5, y))
+    assert radial_wavefunction(NATURAL, n, ell, r) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def _count_nodes(n, ell):
     r = np.linspace(1e-3, 6.0, 4001)
     f = np.array([radial_wavefunction(NATURAL, n, ell, ri) for ri in r])

@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the operations of each in-process workload that fail by a named fault
 # (workloads.FAULTS) at the default seed
-KNOWN_FAILED = {"thermo_wide": 2, "spectrum_states": 4}
+KNOWN_FAILED = {"thermo_wide": 2, "spectrum_states": 0}
 
 # the library spans of which the probe takes a median
 MEDIAN_SPANS = {
