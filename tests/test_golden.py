@@ -1,7 +1,8 @@
 """Golden outputs of the command line.
 
 Each run below pins three things: the bytes written to stdout (CSV or
-JSON, in ``golden/<name>.<format>``), the text on stderr and the exit code
+JSON, in ``golden/<name>.<format>``, or the text report of ``verify`` in
+``golden/verify.txt``), the text on stderr and the exit code
 (both in ``golden/runs.json``, next to the run's arguments).  A change that
 must not alter output is checked against these files byte for byte.
 
@@ -48,6 +49,7 @@ CASES = {
     "sweep_em": ["sweep", "--z-method", "em", "--alpha-min", "0.3", "--points", "40"],
     "sweep_json": ["sweep", "--mode", "1d", "--z-method", "em", "--format", "json", "--alpha-min", "1",
                    "--alpha-max", "1000", "--points", "40"],
+    "verify": ["verify"],
 }
 
 
@@ -60,8 +62,13 @@ def run_case(argv):
 
 
 def output_path(name):
+    """The golden file of a run's stdout, named for its format; verify's
+    report is plain text."""
     argv = CASES[name]
-    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+    if argv[0] == "verify":
+        fmt = "txt"
+    else:
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
     return GOLDEN / f"{name}.{fmt}"
 
 
