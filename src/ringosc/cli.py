@@ -36,7 +36,7 @@ from .partition import (
     partition_em,
 )
 from .spectrum import SPECIAL_CASES, PotentialParams, angular_solution, degeneracy, energy_over_xi, energy_special_case
-from .thermo import SPACINGS, Z_METHODS, SweepSpec, continuity_scan, sweep
+from .thermo import SPACINGS, Z_METHODS, SweepSpec, scan_jumps, sweep
 
 __all__ = ["RunManifest", "FIGURES", "main", "run"]
 
@@ -357,7 +357,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
     # the jump scan is a dense-grid diagnostic; on coarse grids the discrete
     # slopes differ through curvature alone and the ratio is meaningless
     if len(result.points) >= 100:
-        scan = continuity_scan(spec, jump_threshold=10.0, points=result.points)
+        scan = scan_jumps(spec.alphas, [pt.C_bar for pt in result.points])
         verdict = "no first-order transition signature" if scan.passed else "JUMP DETECTED"
         print(
             f"continuity: max jump ratio {scan.max_ratio:.3f} at alpha={scan.alpha_at_max:.6g} -> {verdict}",

@@ -337,7 +337,8 @@ def em_z_derivatives(mode: str, alpha_bar, variant: str = VARIANT_DERIVED):
 def partition_em(spec: PartitionSpec) -> PartitionValue:
     """Euler-Maclaurin partition function at the order spec.em_order; at
     order 2 it is ``em_z_derivatives(mode, alpha_bar, variant)[0]`` bit for bit."""
-    z = _em_evaluate(spec.alpha_bar, *_em_terms(spec.mode, spec.em_order, spec.variant, False))[0]
+    top, polys = _em_terms(spec.mode, spec.em_order, spec.variant, False)
+    (z,) = _em_evaluate(spec.alpha_bar, top, polys[:1])
     return PartitionValue(Z=z, method="euler_maclaurin")
 
 

@@ -106,8 +106,8 @@ def _cot_strength(p: PotentialParams) -> float:
 
 
 def big_lambda(p: PotentialParams, m: int) -> float:
-    """Lambda = sqrt(1 + m^2 + (2M/hbar^2)(a2^2 + a3^2))."""
-    return math.sqrt(1.0 + m * m + (p.a2 ** 2 + p.a3 ** 2) * p.mass * 2.0 / p.hbar ** 2)
+    """Lambda = sqrt(1 + m^2 + 2 M a2^2/hbar^2 + 2 M a3^2/hbar^2)."""
+    return math.sqrt(1.0 + _sin_strength(p, m) + _cot_strength(p))
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,17 @@ def angular_solution(p: PotentialParams, s: int, m: int) -> AngularSolution:
     ell_eff = L + 1/2.  Since Lambda^2 holds the a3 term, the discriminant
     equals (1 + 2s)(1 + 2s + 4 Lambda) + 4 (1 + m^2 + 2 M a2^2 / hbar^2),
     which is taken instead: it keeps every digit at large a3, where the
-    two squares agree to about 1/Lambda, and it is never below 9.
+    two squares agree to about 1/Lambda, and it is never below 9.  Where
+    2 M a^2/hbar^2 passes the float range, both would be inf: that is a
+    ``DomainError``.
     """
     if s < 0 or int(s) != s or m < 0 or int(m) != m:
         raise DomainError("s and m must be non-negative integers")
     lam = big_lambda(p, m)
     odd = 1.0 + 2.0 * s
     L = -1.0 + 0.5 * math.sqrt(odd * (odd + 4.0 * lam) + 4.0 * (1.0 + _sin_strength(p, m)))
+    if not math.isfinite(L):  # an infinite Lambda makes L infinite too
+        raise DomainError(f"2 M a^2 / hbar^2 overflows a float at mass={p.mass}, a2={p.a2}, a3={p.a3}, hbar={p.hbar}")
     return AngularSolution(s=int(s), m=int(m), Lambda=lam, L=L, ell_eff=L + 0.5)
 
 
@@ -233,7 +237,9 @@ def energy(p: PotentialParams, n: int, ell: float) -> float:
     return p.xi * energy_over_xi(n, ell)
 
 
-SPECIAL_CASES = ("a2_only", "a3_only", "oscillator")
+# the couplings each special case drops, which must be zero
+_DROPPED_COUPLINGS = {"a2_only": ("a3",), "a3_only": ("a2",), "oscillator": ("a2", "a3")}
+SPECIAL_CASES = tuple(_DROPPED_COUPLINGS)
 
 
 def energy_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -> float:
@@ -241,8 +247,8 @@ def energy_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -
 
     Each case only checks that the couplings it drops are zero; the
     integer ell is then the floor reading ``angular_solution(p, s, m).ell_int``
-    of the general angular constants, which those zeros reduce to
-    the case's closed form:
+    (which checks s and m) of the general angular constants, which those
+    zeros reduce to the case's closed form:
 
     * ``a2_only``    (requires a3 = 0): Lambda keeps a2 only, L = -1/2 + Lambda + s
     * ``a3_only``    (requires a2 = 0): Lambda keeps a3 only,
@@ -257,19 +263,11 @@ def energy_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -
     """
     if N < 0 or int(N) != N:
         raise DomainError(f"N must be a non-negative integer, got {N}")
-    if s < 0 or int(s) != s or m < 0 or int(m) != m:
-        raise DomainError("s and m must be non-negative integers")
-    if case == "a2_only":
-        if p.a3 != 0.0:
-            raise UsageError("a2_only case requires a3 == 0")
-    elif case == "a3_only":
-        if p.a2 != 0.0:
-            raise UsageError("a3_only case requires a2 == 0")
-    elif case == "oscillator":
-        if p.a2 != 0.0 or p.a3 != 0.0:
-            raise UsageError("oscillator case requires a2 == a3 == 0")
-    else:
+    if case not in _DROPPED_COUPLINGS:
         raise UsageError(f"unknown case {case!r}; expected one of {SPECIAL_CASES}")
+    dropped = _DROPPED_COUPLINGS[case]
+    if any(getattr(p, name) != 0.0 for name in dropped):
+        raise UsageError(f"{case} case requires {' == '.join(dropped)} == 0")
     ell = angular_solution(p, s, m).ell_int
     return p.xi * (2.0 * (N + ell) + 3.0)
 

@@ -27,6 +27,10 @@ One array kernel evaluates every quantity elementwise over a whole grid of
 alphas: ``sweep`` calls it once per grid and ``thermo_point`` calls it with
 its single alpha, so a point and the matching sweep point agree bit for
 bit.  Sweep points are emitted in grid order.
+
+``scan_jumps`` flags a step of C whose slope exceeds ``JUMP_THRESHOLD``
+times that of its neighbours, the signature of a first-order transition;
+``continuity_scan`` runs it on a fresh sweep.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ import numpy as np
 from .errors import DomainError, SweepError, UsageError
 from .partition import (
     ALPHA_MAX,
-    MODES,
     THREE_D,
     VARIANT_DERIVED,
+    _check_alpha,
+    _check_mode,
     em_coefficients,
     em_z_derivatives,
     ladder_log_z_moments,
@@ -59,12 +64,14 @@ __all__ = [
     "continuity_scan",
     "Z_METHODS",
     "SPACINGS",
+    "JUMP_THRESHOLD",
 ]
 
 Z_METHODS = ("direct", "em")
 SPACINGS = ("log", "lin")
 DERIVATIVE_SCHEMES = ("analytic", "central_difference")
 FD_STEP_REL = 1e-5  # relative step of the central differences
+JUMP_THRESHOLD = 10.0  # the slope ratio above which the jump scan flags a step
 
 
 class ThermoPoint(NamedTuple):
@@ -80,8 +87,7 @@ class ThermoPoint(NamedTuple):
 
 
 def _check_options(mode, z_method, derivative_scheme, variant):
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     if z_method not in Z_METHODS:
         raise UsageError(f"z_method must be one of {Z_METHODS}, got {z_method!r}")
     if derivative_scheme not in DERIVATIVE_SCHEMES:
@@ -154,8 +160,7 @@ class SweepSpec:
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
         object.__setattr__(self, "alphas", alphas)
-        if any(not 0.0 < a <= ALPHA_MAX for a in alphas):
-            raise DomainError(f"every grid alpha must be > 0 and at most {ALPHA_MAX:g}")
+        _check_alpha(np.array(alphas))
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise DomainError("alpha grid must be strictly increasing")
         _check_options(self.mode, self.z_method, self.derivative_scheme, self.variant)
@@ -230,7 +235,7 @@ class ContinuityReport:
     passed: bool
 
 
-def scan_jumps(alphas, cbar, jump_threshold: float = 10.0) -> ContinuityReport:
+def scan_jumps(alphas, cbar, jump_threshold: float = JUMP_THRESHOLD) -> ContinuityReport:
     """Flag single-step jumps in C(alpha) against the local slope.
 
     Each discrete slope |dC|/dalpha with a neighbour on each side is
@@ -257,15 +262,7 @@ def scan_jumps(alphas, cbar, jump_threshold: float = 10.0) -> ContinuityReport:
     return ContinuityReport(max_ratio, float(alphas[max_index]), bool(max_ratio <= jump_threshold))
 
 
-def continuity_scan(spec: SweepSpec, jump_threshold: float = 10.0, *, points=None) -> ContinuityReport:
-    """Jump scan of the specific heat over a sweep grid.
-
-    ``points`` can inject precomputed ThermoPoints (or any objects with
-    alpha_bar and C_bar), which is also the hook for scanning a mock
-    provider.
-    """
-    if points is None:
-        points = sweep(spec).points
-    alphas = [pt.alpha_bar for pt in points]
-    cbar = [pt.C_bar for pt in points]
-    return scan_jumps(alphas, cbar, jump_threshold)
+def continuity_scan(spec: SweepSpec, jump_threshold: float = JUMP_THRESHOLD) -> ContinuityReport:
+    """Jump scan of the specific heat of a sweep of ``spec``; a caller that
+    already holds the sweep calls ``scan_jumps`` on its C column."""
+    return scan_jumps(spec.alphas, [pt.C_bar for pt in sweep(spec).points], jump_threshold)

@@ -11,7 +11,10 @@ failing the run.
 ``ALL_CHECKS`` is the one implementation of the acceptance criteria, run
 one check per case by ``tests/test_acceptance.py``.  Each tolerance or
 threshold is written once and stated in the result, as ``tolerance`` or
-as "(tol|bound|threshold ...)" in ``info``, where that test pins it.
+as "(tol|bound|threshold ...)" in ``info``, where that test pins it; the
+jump threshold is ``thermo.JUMP_THRESHOLD``, the one the ``sweep``
+subcommand applies.  The thermal checks read whole grids from
+``thermo.sweep``, whose points carry the bits of ``thermo_point``.
 """
 
 from __future__ import annotations
@@ -168,22 +171,19 @@ def check_high_t_limits() -> CheckResult:
 
 
 def check_thermo_identities() -> CheckResult:
-    grid = np.geomspace(0.5, 50.0, 200)
-    worst_identity = 0.0
-    for a in grid:
-        pt = thermo.thermo_point(float(a), mode=partition.THREE_D, z_method="direct")
-        worst_identity = max(
-            worst_identity, abs(pt.U_bar - (pt.F_bar + pt.alpha_bar * pt.S_bar)) / max(1.0, abs(pt.U_bar))
-        )
-    worst_c = 0.0
-    for a in np.geomspace(1.0, 50.0, 40):
-        a = float(a)
-        h = 1e-5 * a
-        u_plus = thermo.thermo_point(a + h, z_method="direct").U_bar
-        u_minus = thermo.thermo_point(a - h, z_method="direct").U_bar
-        c_fd = (u_plus - u_minus) / (2.0 * h)
-        c = thermo.thermo_point(a, z_method="direct").C_bar
-        worst_c = max(worst_c, abs(c_fd - c) / abs(c))
+    def points(alphas):  # the analytic 3d direct-route points at alphas
+        return thermo.sweep(thermo.SweepSpec(alphas)).points
+
+    worst_identity = max(
+        abs(pt.U_bar - (pt.F_bar + pt.alpha_bar * pt.S_bar)) / max(1.0, abs(pt.U_bar))
+        for pt in points(np.geomspace(0.5, 50.0, 200))
+    )
+    a = np.geomspace(1.0, 50.0, 40)
+    h = 1e-5 * a
+    worst_c = max(
+        abs((plus.U_bar - minus.U_bar) / (2.0 * step) - pt.C_bar) / abs(pt.C_bar)
+        for pt, plus, minus, step in zip(points(a), points(a + h), points(a - h), h.tolist())
+    )
     return _within(
         "thermodynamic identities U = F + alpha S and C = dU/dalpha",
         (("identity rel", worst_identity, 1e-9), ("dU/dalpha rel", worst_c, 1e-5)),
@@ -191,7 +191,6 @@ def check_thermo_identities() -> CheckResult:
 
 
 def check_figure_shapes() -> CheckResult:
-    jump_threshold = 10.0
     notes = []
     passed = True
     # C tends to 3 (3d) and 1 (1d) at high temperature; the bound allows 1e-2 over that
@@ -200,11 +199,11 @@ def check_figure_shapes() -> CheckResult:
         result = thermo.sweep(spec)
         monotone = all(result.monotonicity.values())
         bounded = all(pt.C_bar <= c_bound for pt in result.points)
-        scan = thermo.continuity_scan(spec, jump_threshold=jump_threshold, points=result.points)
+        scan = thermo.scan_jumps(spec.alphas, [pt.C_bar for pt in result.points])
         passed = passed and monotone and bounded and scan.passed
         notes.append(
             f"{mode}: monotone={monotone}, C bounded={bounded} (bound {c_bound:g}), "
-            f"max jump ratio={scan.max_ratio:.2f} (threshold {jump_threshold:g})"
+            f"max jump ratio={scan.max_ratio:.2f} (threshold {thermo.JUMP_THRESHOLD:g})"
         )
     return CheckResult(
         "figure shapes: monotone curves, bounded C, no jump signature",

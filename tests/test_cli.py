@@ -348,6 +348,11 @@ def test_negative_n_max_flag_is_domain_error(capsys):
         (["partition", "--alpha", "1e120", "--methods", "em"], "error: alpha_bar must be > 0 and at most 1e+100, got 1e+120\n"),
         (["partition", "--alpha", "1", "--methods", "direct", "--cutoff", "10000000"],
          "error: cutoff must be at most 19 at alpha_bar=1.0, got 10000000\n"),
+        # 2 M a^2/hbar^2 = 2e308 passes the float range; Lambda and L were printed as inf
+        (["spectrum", "--mass", "1e308", "--a2", "1"],
+         "error: 2 M a^2 / hbar^2 overflows a float at mass=1e+308, a2=1.0, a3=0.0, hbar=1.0\n"),
+        (["spectrum", "--mass", "1e308", "--a3", "1"],
+         "error: 2 M a^2 / hbar^2 overflows a float at mass=1e+308, a2=0.0, a3=1.0, hbar=1.0\n"),
     ],
 )
 def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):

@@ -88,6 +88,10 @@ def test_angular_solution_rejects_bad_quantum_numbers():
         angular_solution(NATURAL, s=-1, m=0)
     with pytest.raises(DomainError):
         angular_solution(NATURAL, s=0, m=-2)
+    # energy_special_case leaves this check to angular_solution
+    for s, m in ((-1, 0), (0, 1.5)):
+        with pytest.raises(DomainError, match="^s and m must be non-negative integers$"):
+            energy_special_case(NATURAL, "oscillator", 0, s, m)
 
 
 # ----------------------------------------------------------------- energy
@@ -158,6 +162,15 @@ def test_zero_couplings_at_huge_mass(mass, s, m):
     assert sol.L == -0.5 + sol.Lambda + s
 
 
+@pytest.mark.parametrize("a2,a3", [(1.0, 0.0), (0.0, 1.0), (0.8, 0.8)])
+def test_overflowing_angular_strength_is_domain_error(a2, a3):
+    # 2 M a^2/hbar^2, or the sum of the two, passes the float range at
+    # M = 1e308, although the true Lambda, about 1.4e154, is a float
+    p = PotentialParams(a1=1.0, a2=a2, a3=a3, mass=1e308)
+    with pytest.raises(DomainError, match=r"^2 M a\^2 / hbar\^2 overflows a float at mass=1e\+308"):
+        angular_solution(p, 0, 0)
+
+
 @pytest.mark.parametrize("a3", [1e16, 1e17])
 @pytest.mark.parametrize("s,m", [(0, 0), (1, 0), (3, 2)])
 def test_angular_constant_at_large_a3_vs_mpmath(a3, s, m):
@@ -174,12 +187,13 @@ def test_angular_constant_at_large_a3_vs_mpmath(a3, s, m):
 
 
 def test_special_case_param_mismatch():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^a2_only case requires a3 == 0$"):
         energy_special_case(PotentialParams(a1=1.0, a3=1.0), "a2_only", 0, 0, 0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^a3_only case requires a2 == 0$"):
         energy_special_case(PotentialParams(a1=1.0, a2=1.0), "a3_only", 0, 0, 0)
-    with pytest.raises(UsageError):
-        energy_special_case(PotentialParams(a1=1.0, a2=1.0), "oscillator", 0, 0, 0)
+    for p in (PotentialParams(a1=1.0, a2=1.0), PotentialParams(a1=1.0, a3=1.0)):
+        with pytest.raises(UsageError, match="^oscillator case requires a2 == a3 == 0$"):
+            energy_special_case(p, "oscillator", 0, 0, 0)
     with pytest.raises(UsageError):
         energy_special_case(NATURAL, "bogus", 0, 0, 0)
 

@@ -326,6 +326,8 @@ def test_sweep_spec_validation():
         SweepSpec(alphas=(1.0, 0.5))
     with pytest.raises(DomainError):
         SweepSpec(alphas=(-1.0, 0.5))
+    with pytest.raises(UsageError, match="^mode must be one of"):
+        SweepSpec(alphas=(1.0,), mode="2d")
     with pytest.raises(UsageError):
         SweepSpec.from_grid(1.0, 2.0, 5, "cubic")
     with pytest.raises(UsageError):
@@ -337,6 +339,8 @@ def test_thermo_point_validation():
         thermo_point(-1.0)
     with pytest.raises(UsageError):
         thermo_point(1.0, z_method="magic")
+    with pytest.raises(UsageError, match="^mode must be one of"):
+        thermo_point(1.0, mode="2d")
     with pytest.raises(DomainError):
         thermo_point(0.1, mode=THREE_D, z_method="em")  # the 3d closed form is <= 0 there
 
@@ -370,6 +374,8 @@ def test_scan_smooth_curve_passes():
     report = continuity_scan(spec, jump_threshold=10.0)
     assert report.passed
     assert report.max_ratio < 1.5  # smooth curves sit near ratio 1
+    # the library entry scans the C column that the CLI and verify scan
+    assert continuity_scan(spec) == report == scan_jumps(spec.alphas, [pt.C_bar for pt in sweep(spec).points])
 
 
 def test_scan_constant_input_has_zero_jumps():
