@@ -28,7 +28,6 @@ from .partition import (
     suggested_cutoff,
 )
 from .specfun import (
-    BERNOULLI_K_MAX,
     bernoulli,
     gamma_ratio_prefactor,
     hyp1f1_terminating,

@@ -72,15 +72,11 @@ _POTENTIAL = ("a1", "a2", "a3", "mass", "hbar")
 _OUTPUT = ("format", "out")
 SUBCOMMAND_FIELDS = {
     "spectrum": _POTENTIAL + _OUTPUT + ("n_max", "ell_max", "m", "ell_mode", "case"),
-    "partition": _POTENTIAL + ("mode",) + _OUTPUT + ("alphas", "methods", "cutoff", "em_order"),
+    "partition": _POTENTIAL + ("mode",) + _OUTPUT + ("alphas", "methods"),
     "sweep": _POTENTIAL + ("mode",) + _OUTPUT
     + ("alpha_min", "alpha_max", "points", "spacing", "z_method", "variant", "figure"),
     "verify": (),
 }
-
-# the partition inputs that one method alone reads; 'em-paper' fixes its own
-# order and variant
-_METHOD_FIELDS = {"em": ("em_order",), "direct": ("cutoff",)}
 
 # per annotation of RunManifest: the JSON types a manifest value may have
 # (bool is an int subclass but never a valid number here), the JSON types of
@@ -90,7 +86,6 @@ _FIELD_TYPES = {
     "int": ((int,), None, int),
     "str": ((str,), None, str),
     "str | None": ((str, type(None)), None, str),
-    "int | None": ((int, type(None)), None, int),
     "tuple[float, ...]": ((tuple, list), (int, float), float),
     "tuple[str, ...]": ((tuple, list), (str,), str),
 }
@@ -129,8 +124,6 @@ class RunManifest:
     # partition
     alphas: tuple[float, ...] = ()
     methods: tuple[str, ...] = ("direct", "em")
-    cutoff: int | None = None
-    em_order: int = 2
     # sweep
     alpha_min: float = 0.5
     alpha_max: float = 100.0
@@ -157,10 +150,6 @@ class RunManifest:
             unread.setdefault("mode", " when 'figure' is given, which fixes the ladder")
         if self.case is not None:
             unread.setdefault("ell_mode", " when 'case' is given")
-        for method, names in _METHOD_FIELDS.items():
-            if method not in self.methods:
-                for name in names:
-                    unread.setdefault(name, f" when 'methods' does not list {method!r}")
         for field in fields:
             value = getattr(self, field.name)
             if field.name in unread and value != field.default:
@@ -292,19 +281,14 @@ def cmd_spectrum(manifest: RunManifest) -> int:
 
 
 def _partition_value(method: str, manifest: RunManifest, alpha: float):
-    spec = PartitionSpec(
-        mode=manifest.mode,
-        alpha_bar=alpha,
-        cutoff=manifest.cutoff,
-        em_order=manifest.em_order,
-    )
+    spec = PartitionSpec(manifest.mode, alpha)
     if method == "direct":
         return partition_direct(spec)
     if method == "em":
         return partition_em(spec)
     if method == "em-paper":
-        # the alternate form exists for the 1d ladder at order 2 only
-        return partition_em(dataclasses.replace(spec, em_order=2, variant=VARIANT_PAPER))
+        # the alternate form exists for the 1d ladder only
+        return partition_em(dataclasses.replace(spec, variant=VARIANT_PAPER))
     # 'exact', the geometric closed form
     if manifest.mode != ONE_D:
         raise UsageError("method 'exact' (geometric closed form) applies to the 1d ladder only")
@@ -404,7 +388,9 @@ class _Parser(argparse.ArgumentParser):
     subparsers are of the same class."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        # argparse quotes each value it names but an unrecognized argument,
+        # so a line break in one is escaped to keep the message on one line
+        raise UsageError(f"{self.prog}: {message}".replace("\r", "\\r").replace("\n", "\\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:

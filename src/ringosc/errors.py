@@ -24,10 +24,6 @@ class UsageError(ValueError):
 class ConvergenceError(RuntimeError):
     """A truncated sum cannot certify the requested tail bound."""
 
-    def __init__(self, message, suggested_cutoff=None):
-        super().__init__(message)
-        self.suggested_cutoff = suggested_cutoff
-
 
 class SweepError(RuntimeError):
     """A temperature sweep failed at one grid point."""

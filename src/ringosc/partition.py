@@ -9,10 +9,10 @@ Routes to Z, all in the dimensionless temperature alpha = 1/(beta xi):
 * ``partition_direct`` sums the Boltzmann series term by term and
   certifies the truncation with an explicit closed-form tail bound, so
   it serves as the reference for every closed form;
-* ``em_coefficients`` is the Euler-Maclaurin approximant, at any order the
-  Bernoulli table covers, as one exact table of rational coefficients of
-  powers of alpha; ``partition_em`` evaluates it and ``em_z_derivatives``
-  gives Z, dZ and d2Z at order 2, over an array too, or exactly at a Fraction.
+* ``em_coefficients`` is the paper's second-order Euler-Maclaurin
+  approximant as one exact table of rational coefficients of powers of
+  alpha; ``partition_em`` evaluates it and ``em_z_derivatives`` gives Z,
+  dZ and d2Z, over an array too, or exactly at a Fraction.
 
 The ground-state energy is subtracted inside the series, so both ladders
 start at a bare 1 and Z(alpha -> 0+) = 1:
@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UsageError
-from .specfun import BERNOULLI_K_MAX, bernoulli
+from .specfun import bernoulli
 
 __all__ = [
     "THREE_D",
@@ -92,26 +92,19 @@ def _check_alpha(alpha_bar) -> None:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How to evaluate Z: ladder, temperature, truncation, order, variant.
+    """How to evaluate Z: ladder, temperature, variant.
 
-    ``cutoff`` of None means auto-select the smallest truncation whose
-    tail bound certifies ``TAIL_RTOL`` relative accuracy.  ``variant``
-    only matters for the 1d closed form (see ``em_coefficients``).
+    ``variant`` only matters for the 1d Euler-Maclaurin form (see
+    ``em_coefficients``).
     """
 
     mode: str
     alpha_bar: float
-    cutoff: int | None = None
-    em_order: int = 2
     variant: str = VARIANT_DERIVED
 
     def __post_init__(self):
         _check_mode(self.mode)
         _check_alpha(self.alpha_bar)
-        if self.cutoff is not None and self.cutoff < 0:
-            raise DomainError(f"cutoff must be >= 0, got {self.cutoff}")
-        if not 1 <= self.em_order <= BERNOULLI_K_MAX:
-            raise DomainError(f"em_order must be in 1..{BERNOULLI_K_MAX}, got {self.em_order}")
         if self.variant not in VARIANTS:
             raise UsageError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -187,24 +180,15 @@ def _series_terms(mode: str, alpha_bar: float, n0: int) -> np.ndarray:
 
 
 def partition_direct(spec: PartitionSpec) -> PartitionValue:
-    """Truncated Boltzmann sum with a certified tail bound.
-
-    Raises ``ConvergenceError`` (carrying a workable cutoff) if an
-    explicit cutoff is too small for the requested tail target, and
-    ``DomainError`` if it is above the suggested one, which already meets
-    that target: the sum holds one float per term.
+    """Boltzmann sum truncated at ``suggested_cutoff``, with its certified
+    tail bound; raises ``ConvergenceError`` if that bound exceeds
+    ``TAIL_RTOL`` times the sum.
     """
-    x = _boltzmann_factor(spec.mode, spec.alpha_bar)
-    suggested = suggested_cutoff(spec.mode, spec.alpha_bar)
-    n0 = suggested if spec.cutoff is None else int(spec.cutoff)
-    if n0 > suggested:
-        raise DomainError(f"cutoff must be at most {suggested} at alpha_bar={spec.alpha_bar}, got {n0}")
+    n0 = suggested_cutoff(spec.mode, spec.alpha_bar)
     z = float(_series_terms(spec.mode, spec.alpha_bar, n0).sum())
-    tail = _tail_bound(spec.mode, n0, x)
+    tail = _tail_bound(spec.mode, n0, _boltzmann_factor(spec.mode, spec.alpha_bar))
     if tail > TAIL_RTOL * z:
-        raise ConvergenceError(
-            f"cutoff {n0} leaves tail bound {tail:.3e} > {TAIL_RTOL:.1e} * Z", suggested_cutoff=suggested
-        )
+        raise ConvergenceError(f"cutoff {n0} leaves tail bound {tail:.3e} > {TAIL_RTOL:.1e} * Z")
     return PartitionValue(Z=z, method="direct", tail_bound=tail)
 
 
@@ -246,36 +230,35 @@ def ladder_log_z_moments(mode: str, alpha_bar):
 
 
 @functools.cache
-def em_coefficients(mode: str, order: int = 2, variant: str = VARIANT_DERIVED):
-    """The order-K Euler-Maclaurin approximant of Z as a Laurent polynomial
-    in alpha: a read-only ``{power of alpha: Fraction}``, cached, never rebuilt per call.
+def em_coefficients(mode: str, variant: str = VARIANT_DERIVED):
+    """The second-order Euler-Maclaurin approximant of Z as a Laurent
+    polynomial in alpha: a read-only ``{power of alpha: Fraction}``, cached,
+    never rebuilt per call.
 
     With f(x) = w(x) e^(-c x/alpha), w = (1+x)^2 and c = 2 (3d) or w = 1
     and c = 1 (1d), the approximant of sum_{m>=0} f(m) is
 
-        integral_0^inf f + f(0)/2 - sum_{k=1}^{K} B_2k/(2k)! f^(2k-1)(0),
+        integral_0^inf f + f(0)/2 - sum_{k=1}^{2} B_2k/(2k)! f^(2k-1)(0),
 
     where x^j e^(-cx/alpha) integrates to j! (alpha/c)^(j+1) and its m-th
-    derivative at 0 is m!/(m-j)! (-c/alpha)^(m-j).  At order 2:
+    derivative at 0 is m!/(m-j)! (-c/alpha)^(m-j).  That gives
 
         3d: Z = a^3/4 + a^2/2 + a/2 + 1/3 + 3/(20a) + 1/(30a^2) - 1/(90a^3),
         1d: Z = a + 1/2 + 1/(12a) - 1/(720a^3).
 
-    'paper' swaps the 1d order-2 tail for -a^3/5400, an alternate form kept
-    for comparison: it does not follow from the summation formula at any
-    order and turns Z negative beyond alpha ~ 73.7, so 'derived' is the
-    default everywhere.  No other form has a 'paper' variant.
+    'paper' swaps the 1d tail for -a^3/5400, an alternate form kept for
+    comparison: it does not follow from the summation formula at any order
+    and turns Z negative beyond alpha ~ 73.7, so 'derived' is the default
+    everywhere.  The 3d form has no 'paper' variant.
     """
     _check_mode(mode)
-    if variant != VARIANT_DERIVED and (variant, mode, order) != (VARIANT_PAPER, ONE_D, 2):
-        raise UsageError(f"the {mode} order-{order} form has no variant {variant!r}; 'paper' is 1d order 2 only")
-    if not 1 <= order <= BERNOULLI_K_MAX:
-        raise DomainError(f"em_order must be in 1..{BERNOULLI_K_MAX}, got {order}")
+    if variant != VARIANT_DERIVED and (variant, mode) != (VARIANT_PAPER, ONE_D):
+        raise UsageError(f"the {mode} form has no variant {variant!r}; 'paper' is 1d only")
     c, weights = (2, (1, 2, 1)) if mode == THREE_D else (1, (1,))
     table = defaultdict(Fraction, {0: Fraction(weights[0], 2)})
     for j, w in enumerate(weights):
         table[j + 1] += Fraction(w * math.factorial(j), c ** (j + 1))
-    for k in range(1, order + 1):
+    for k in (1, 2):
         m = 2 * k - 1
         for j, w in enumerate(weights[: m + 1]):
             table[j - m] -= bernoulli(k) / math.factorial(2 * k) * w * math.perm(m, j) * (-c) ** (m - j)
@@ -286,12 +269,12 @@ def em_coefficients(mode: str, order: int = 2, variant: str = VARIANT_DERIVED):
 
 
 @functools.cache
-def _em_terms(mode: str, order: int, variant: str, exact: bool):
+def _em_terms(mode: str, variant: str, exact: bool):
     """(top, polys): Z, dZ/dalpha and d2Z/dalpha2 of a table, each as the
     (k, p, q) terms of its powers a^k, k >= 0, then the (-k, p, q) terms of
     its powers k < 0, highest power first, and the largest |k| of all.
     p and q are floats unless ``exact``."""
-    tables = [em_coefficients(mode, order, variant)]
+    tables = [em_coefficients(mode, variant)]
     for _ in range(2):
         tables.append({k - 1: k * v for k, v in tables[-1].items() if k})
     cast = int if exact else float
@@ -327,17 +310,17 @@ def _em_evaluate(alpha_bar, top, polys):
 
 
 def em_z_derivatives(mode: str, alpha_bar, variant: str = VARIANT_DERIVED):
-    """(Z, dZ/dalpha, d2Z/dalpha2) of the order-2 Euler-Maclaurin form, at
-    one alpha, elementwise over an array of them, or exactly at a Fraction.
+    """(Z, dZ/dalpha, d2Z/dalpha2) of the Euler-Maclaurin form, at one
+    alpha, elementwise over an array of them, or exactly at a Fraction.
     The derivatives are those of the table's coefficients."""
     _check_alpha(alpha_bar)
-    return tuple(_em_evaluate(alpha_bar, *_em_terms(mode, 2, variant, isinstance(alpha_bar, Fraction))))
+    return tuple(_em_evaluate(alpha_bar, *_em_terms(mode, variant, isinstance(alpha_bar, Fraction))))
 
 
 def partition_em(spec: PartitionSpec) -> PartitionValue:
-    """Euler-Maclaurin partition function at the order spec.em_order; at
-    order 2 it is ``em_z_derivatives(mode, alpha_bar, variant)[0]`` bit for bit."""
-    top, polys = _em_terms(spec.mode, spec.em_order, spec.variant, False)
+    """Euler-Maclaurin partition function: ``em_z_derivatives(mode,
+    alpha_bar, variant)[0]`` bit for bit, without the derivatives."""
+    top, polys = _em_terms(spec.mode, spec.variant, False)
     (z,) = _em_evaluate(spec.alpha_bar, top, polys[:1])
     return PartitionValue(Z=z, method="euler_maclaurin")
 

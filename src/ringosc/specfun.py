@@ -25,7 +25,6 @@ __all__ = [
     "hyp1f1_terminating",
     "gamma_ratio_prefactor",
     "bernoulli",
-    "BERNOULLI_K_MAX",
 ]
 
 
@@ -93,6 +92,27 @@ def laguerre_poly(n: int, a: float, y: float) -> float:
     return cur
 
 
+def _laguerre_frexp(n: int, a: float, y: float) -> tuple[float, int]:
+    """(m, e) with L_n^(a)(y) = m 2^e, for arguments ``laguerre_poly`` has
+    checked, where L itself leaves the float range.
+
+    Runs the same recurrence, with both terms divided by the power of two
+    of the newer one after every step.  The division is exact, so m 2^e
+    has the bits of ``laguerre_poly`` wherever that is finite.
+    """
+    if n == 0:
+        return 1.0, 0
+    c = a - y
+    cur, e = math.frexp(1.0 + c)
+    prev = math.ldexp(1.0, -e)
+    for k in range(1, int(n)):
+        cur, prev = ((2.0 * k + 1.0 + c) * cur - (k + a) * prev) / (k + 1.0), cur
+        cur, shift = math.frexp(cur)
+        prev = math.ldexp(prev, -shift)
+        e += shift
+    return cur, e
+
+
 def hyp1f1_terminating(n: int, b: float, y: float) -> float:
     """Sum the n + 1 nonzero terms of 1F1(-n; b; y), n a non-negative integer.
 
@@ -130,24 +150,12 @@ def gamma_ratio_prefactor(n: int, ell: float) -> float:
     return out
 
 
-BERNOULLI_K_MAX = 8
-
-# B_{2k} for k = 1..8.  Only k <= 2 enters the second-order closed forms;
-# the rest give headroom for higher-order summation experiments.
-_B2K = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-)
+# B_2 and B_4, the two that enter the second-order Euler-Maclaurin forms
+_B2K = (Fraction(1, 6), Fraction(-1, 30))
 
 
 def bernoulli(k: int) -> Fraction:
-    """Exact rational Bernoulli number B_{2k} for 1 <= k <= BERNOULLI_K_MAX."""
-    if not 1 <= k <= BERNOULLI_K_MAX:
-        raise DomainError(f"Bernoulli table covers k = 1..{BERNOULLI_K_MAX}, got {k}")
+    """Exact rational Bernoulli number B_{2k} for k = 1, 2."""
+    if not 1 <= k <= len(_B2K):
+        raise DomainError(f"Bernoulli table covers k = 1..{len(_B2K)}, got {k}")
     return _B2K[k - 1]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 from .nu_solver import NUProblem, derive, quantization_residual, solve_bracketed
-from .specfun import jacobi_poly, laguerre_poly
+from .specfun import _laguerre_frexp, jacobi_poly, laguerre_poly
 
 __all__ = [
     "PotentialParams",
@@ -304,8 +304,10 @@ def radial_wavefunction(p: PotentialParams, n: int, ell: float, r: float) -> flo
     prefactor times the terminating series 1F1(-n; 3/2 + ell; y) and is
     evaluated by its recurrence, which keeps its digits where that
     alternating sum cancels.  y^mu e^(-y/2) is taken as one exponential,
-    so it underflows to 0 where y^mu alone would overflow.  Needs
-    ell >= 0 and a finite r >= 0.
+    so it underflows to 0 where y^mu alone would overflow.  Where the
+    polynomial overflows or the weight underflows (n in the hundreds, or a
+    huge r), the polynomial is rerun as m 2^e and the value taken as
+    exp(mu ln y - y/2 + e ln 2) m.  Needs ell >= 0 and a finite r >= 0.
     """
     if r < 0.0:
         raise DomainError(f"r must be >= 0, got {r}")
@@ -314,7 +316,14 @@ def radial_wavefunction(p: PotentialParams, n: int, ell: float, r: float) -> flo
     y = radial_variable(p, r)
     mu = 0.5 * (ell + 1.0)
     poly = laguerre_poly(n, ell + 0.5, y)
-    return (math.exp(mu * math.log(y) - 0.5 * y) if y > 0.0 else y ** mu) * poly
+    if y == 0.0:
+        return y ** mu * poly
+    log_weight = mu * math.log(y) - 0.5 * y
+    value = math.exp(log_weight) * poly
+    if value == 0.0 or not math.isfinite(value):
+        m, e = _laguerre_frexp(n, ell + 0.5, y)
+        value = math.exp(log_weight + e * math.log(2.0)) * m
+    return value
 
 
 def angular_wavefunction(sol: AngularSolution, theta: float) -> float:

@@ -93,7 +93,7 @@ def _check_options(mode, z_method, derivative_scheme, variant):
     if derivative_scheme not in DERIVATIVE_SCHEMES:
         raise UsageError(f"derivative_scheme must be one of {DERIVATIVE_SCHEMES}")
     if z_method == "em":
-        em_coefficients(mode, 2, variant)  # rejects a variant the form does not have
+        em_coefficients(mode, variant)  # rejects a variant the form does not have
     elif variant != VARIANT_DERIVED:
         raise UsageError(f"z_method 'direct' takes only the variant 'derived', got {variant!r}")
 

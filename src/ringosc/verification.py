@@ -101,12 +101,12 @@ def check_em3d_rational() -> CheckResult:
     )
 
 
-def check_em3d_vs_direct(em3d_fn=None) -> CheckResult:
-    em3d_fn = em3d_fn or (lambda a: partition.partition_em(partition.PartitionSpec(partition.THREE_D, a)).Z)
+def check_em3d_vs_direct() -> CheckResult:
     parts = []
     for alpha, tol in ((10.0, 1e-3), (50.0, 1e-4)):
-        direct = partition.partition_direct(partition.PartitionSpec(partition.THREE_D, alpha)).Z
-        parts.append((f"alpha={alpha:g} rel", abs(em3d_fn(alpha) - direct) / direct, tol))
+        spec = partition.PartitionSpec(partition.THREE_D, alpha)
+        direct = partition.partition_direct(spec).Z
+        parts.append((f"alpha={alpha:g} rel", abs(partition.partition_em(spec).Z - direct) / direct, tol))
     return _within("3d closed form vs certified direct sum", parts)
 
 

@@ -5,11 +5,11 @@ unknown subcommand) must end in a documented exit code, 0, 2, 3 or 4;
 a failed run writes exactly one line on stderr and no traceback; and a
 repeated run prints the same bytes.  Each field of a drawn manifest is
 absent, valid, of the wrong type, out of range, NaN or off its choices.
+The same manifests, written as the flags that ``build_parser`` makes,
+must meet the same contract.
 
 Valid values stay where a run is quick: at most 60 sweep points, alphas
-in [1e-3, 1e3] and n_max and ell_max at most 6.  An explicit cutoff runs
-up to 10**12: one above the suggested cutoff is refused before the direct
-sum allocates its one float per term.
+in [1e-3, 1e3] and n_max and ell_max at most 6.
 """
 
 import contextlib
@@ -20,8 +20,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringosc.cli import _CHOICES, PARTITION_METHODS, SUBCOMMAND_FIELDS, main
-from ringosc.specfun import BERNOULLI_K_MAX
+from ringosc.cli import _CHOICES, PARTITION_METHODS, SUBCOMMAND_FIELDS, build_parser, main
 
 POSITIVE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 10))
 NON_NEGATIVE = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 10))
@@ -43,8 +42,6 @@ DOMAINS = {
     "m": (st.one_of(SMALL, st.integers(min_value=0)), st.integers(max_value=-1)),
     "alphas": (st.lists(ALPHA, max_size=4), st.lists(st.one_of(ALPHA, NOT_POSITIVE), min_size=1, max_size=3)),
     "methods": (st.lists(st.sampled_from(PARTITION_METHODS), max_size=4), st.lists(st.text(max_size=4), max_size=2)),
-    "cutoff": (st.one_of(st.none(), st.integers(0, 10 ** 12)), st.integers(max_value=-1)),
-    "em_order": (st.integers(1, BERNOULLI_K_MAX), st.integers(max_value=0) | st.integers(BERNOULLI_K_MAX + 1)),
     "alpha_min": (ALPHA, NOT_POSITIVE),
     "alpha_max": (ALPHA, NOT_POSITIVE),
     "points": (st.integers(1, 60), st.integers(max_value=0)),
@@ -77,12 +74,46 @@ def manifests(draw):
     return manifest
 
 
-def run_manifest(path):
-    """(exit code, stdout, stderr) of one in-process run of a manifest file."""
+def _flags():
+    """The flag of each field, as ``build_parser`` names it."""
+    (subparsers,) = [action for action in build_parser()._actions if action.dest == "subcommand"]
+    return {action.dest: action.option_strings[0] for sub in subparsers.choices.values() for action in sub._actions}
+
+
+FLAGS = _flags()
+
+
+def flag_text(value):
+    """What a shell user types for a value: a list comma-joined, a float by its repr."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(flag_text(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def as_argv(manifest):
+    """The manifest as flags; a None value is an absent flag."""
+    argv = [manifest["subcommand"]]
+    for name, value in manifest.items():
+        if name != "subcommand" and value is not None:
+            argv += [FLAGS[name], flag_text(value)]
+    return argv
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["--manifest", str(path)])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(argv):
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.count("\n") == 1 and err.endswith("\n")
+    assert run_main(argv) == (code, out, err)
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,9 +121,10 @@ def run_manifest(path):
 def test_any_manifest_meets_the_exit_code_contract(tmp_path_factory, manifest):
     path = tmp_path_factory.getbasetemp() / "fuzz-run.json"
     path.write_text(json.dumps(manifest))
-    code, out, err = run_manifest(path)
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err
-    if code != 0:
-        assert err.count("\n") == 1 and err.endswith("\n")
-    assert run_manifest(path) == (code, out, err)
+    assert_contract(["--manifest", str(path)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(manifest=manifests())
+def test_any_argv_meets_the_exit_code_contract(manifest):
+    assert_contract(as_argv(manifest))

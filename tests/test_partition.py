@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ringosc import partition
 from ringosc.errors import ConvergenceError, DomainError, UsageError
 from ringosc.partition import (
     ALPHA_MAX,
@@ -24,7 +25,6 @@ from ringosc.partition import (
     partition_em,
     suggested_cutoff,
 )
-from ringosc.specfun import BERNOULLI_K_MAX
 
 
 def closed_form_3d(alpha):
@@ -64,31 +64,20 @@ def test_direct_tail_is_certified(mode, alpha):
     assert value.Z >= 1.0  # first retained term
 
 
-def test_direct_cutoff_too_small():
-    with pytest.raises(ConvergenceError) as excinfo:
-        partition_direct(PartitionSpec(THREE_D, 10.0, cutoff=5))
-    suggested = excinfo.value.suggested_cutoff
-    assert suggested is not None and suggested > 5
-    value = partition_direct(PartitionSpec(THREE_D, 10.0, cutoff=suggested))
+def test_direct_cutoff_too_small(monkeypatch):
+    # the sum checks its tail bound itself, whatever truncation it was given
+    monkeypatch.setattr(partition, "suggested_cutoff", lambda mode, alpha_bar: 5)
+    with pytest.raises(ConvergenceError, match="^cutoff 5 leaves tail bound"):
+        partition_direct(PartitionSpec(THREE_D, 10.0))
+    monkeypatch.undo()
+    value = partition_direct(PartitionSpec(THREE_D, 10.0))
     assert value.Z == pytest.approx(closed_form_3d(10.0), rel=1e-13)
-
-
-@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
-def test_direct_cutoff_above_the_suggested_one_is_refused(mode):
-    # the sum holds one float per term, so a cutoff past the one that already
-    # certifies the tail is refused before anything is allocated
-    suggested = suggested_cutoff(mode, 1.0)
-    assert partition_direct(PartitionSpec(mode, 1.0, cutoff=suggested)).Z > 1.0
-    for cutoff in (suggested + 1, 10 ** 12):
-        with pytest.raises(DomainError, match=f"cutoff must be at most {suggested} "):
-            partition_direct(PartitionSpec(mode, 1.0, cutoff=cutoff))
 
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
 def test_closed_forms_are_finite_up_to_alpha_max(mode):
     grid = np.geomspace(1e-3, ALPHA_MAX, 300).tolist()
-    for order in range(1, BERNOULLI_K_MAX + 1):
-        assert all(math.isfinite(partition_em(PartitionSpec(mode, a, em_order=order)).Z) for a in grid)
+    assert all(math.isfinite(partition_em(PartitionSpec(mode, a)).Z) for a in grid)
     assert all(math.isfinite(v) for a in grid for v in ladder_log_z_moments(mode, a))
     assert all(math.isfinite(partition_closed_form_1d(a).Z) for a in grid)
     for bad in (ALPHA_MAX * 1.0000001, 1e120):
@@ -114,8 +103,6 @@ def test_spec_validation():
         PartitionSpec(THREE_D, -1.0)
     with pytest.raises(UsageError):
         PartitionSpec("2d", 1.0)
-    with pytest.raises(DomainError):
-        PartitionSpec(THREE_D, 1.0, em_order=0)
 
 
 # ---------------------------------------------------------------- moments
@@ -197,8 +184,8 @@ def test_kernels_reject_a_bad_array_element(kernel, bad):
 # ------------------------------------------------------------------- em
 
 
-def em_z(mode, alpha, variant=VARIANT_DERIVED, order=2):
-    return partition_em(PartitionSpec(mode, alpha, em_order=order, variant=variant)).Z
+def em_z(mode, alpha, variant=VARIANT_DERIVED):
+    return partition_em(PartitionSpec(mode, alpha, variant)).Z
 
 
 def sympy_em_table(mode, order):
@@ -219,29 +206,40 @@ def sympy_em_table(mode, order):
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
 def test_em_coefficients_match_sympy_assembly(mode):
-    for order in range(1, BERNOULLI_K_MAX + 1):
-        assert dict(em_coefficients(mode, order)) == sympy_em_table(mode, order), order
+    assert dict(em_coefficients(mode)) == sympy_em_table(mode, 2)
+
+
+def test_em1d_has_no_cubic_term_at_any_order():
+    # the 'paper' tail -alpha^3/5400 is no term of the summation formula:
+    # each Bernoulli correction adds a negative power of alpha only
+    for order in range(1, 9):
+        assert 3 not in sympy_em_table(ONE_D, order), order
 
 
 def test_em_paper_table_swaps_the_cubic_tail():
     table = sympy_em_table(ONE_D, 2)
     assert table.pop(-3) == Fraction(-1, 720)
     table[3] = Fraction(-1, 5400)
-    assert dict(em_coefficients(ONE_D, 2, VARIANT_PAPER)) == table
+    assert dict(em_coefficients(ONE_D, VARIANT_PAPER)) == table
 
 
-@pytest.mark.parametrize("mode, order", [(THREE_D, 1), (THREE_D, 2), (ONE_D, 1), (ONE_D, 5)])
-@pytest.mark.parametrize("variant", ["magic", VARIANT_PAPER])
-def test_em_coefficients_reject_a_variant_the_form_lacks(mode, order, variant):
+@pytest.mark.parametrize(
+    "variant, mode, alpha",
+    [("magic", THREE_D, 1), ("magic", THREE_D, 2), ("magic", ONE_D, 1), ("magic", ONE_D, 5),
+     (VARIANT_PAPER, THREE_D, 1), (VARIANT_PAPER, THREE_D, 2)],
+)
+def test_em_coefficients_reject_a_variant_the_form_lacks(variant, mode, alpha):
     with pytest.raises(UsageError):
-        em_coefficients(mode, order, variant)
+        em_coefficients(mode, variant)
     with pytest.raises(UsageError):
-        partition_em(PartitionSpec(mode, 1.0, em_order=order, variant=variant))
+        em_z_derivatives(mode, alpha, variant)
+    with pytest.raises(UsageError):
+        partition_em(PartitionSpec(mode, alpha, variant))
 
 
 def test_em_coefficients_are_cached_and_read_only():
-    table = em_coefficients(THREE_D, 4)
-    assert em_coefficients(THREE_D, 4) is table
+    table = em_coefficients(THREE_D)
+    assert em_coefficients(THREE_D) is table
     with pytest.raises(TypeError):
         table[0] = Fraction(0)
 
@@ -249,7 +247,7 @@ def test_em_coefficients_are_cached_and_read_only():
 @pytest.mark.parametrize("mode, variant", [(THREE_D, VARIANT_DERIVED), (ONE_D, VARIANT_DERIVED), (ONE_D, VARIANT_PAPER)])
 def test_em_float_evaluation_within_summation_bound(mode, variant):
     # the a-priori bound of a sum of n rounded terms: (n + 2) u sum |c_k a^k|
-    polys = [em_coefficients(mode, 2, variant)]
+    polys = [em_coefficients(mode, variant)]
     for _ in range(2):
         polys.append({k - 1: k * c for k, c in polys[-1].items() if k})
     grid = np.geomspace(0.2, 1e8, 3000)
@@ -257,19 +255,10 @@ def test_em_float_evaluation_within_summation_bound(mode, variant):
     for i, a in enumerate(grid.tolist()):
         floats = em_z_derivatives(mode, a, variant)
         assert floats == tuple(col[i] for col in columns)
+        assert em_z(mode, a, variant) == floats[0]
         for got, want, poly in zip(floats, em_z_derivatives(mode, Fraction(a), variant), polys):
             bound = (len(poly) + 2) * 2.0 ** -53 * sum(abs(float(c) * a ** k) for k, c in poly.items())
             assert abs(Fraction(got) - want) <= bound, (a, got, float(want))
-
-
-@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
-def test_em_any_order_within_summation_bound(mode):
-    for order in range(1, BERNOULLI_K_MAX + 1):
-        table = em_coefficients(mode, order)
-        for a in np.geomspace(0.2, 1e8, 60).tolist():
-            want = sum(c * Fraction(a) ** k for k, c in table.items())
-            bound = (len(table) + 2) * 2.0 ** -53 * sum(abs(float(c) * a ** k) for k, c in table.items())
-            assert abs(Fraction(em_z(mode, a, order=order)) - want) <= bound, (order, a)
 
 
 def test_em_order_2_derivatives_differentiate_the_table():

@@ -230,7 +230,8 @@ def test_radial_wavefunction_vanishes_at_origin():
 
 
 def test_radial_wavefunction_finite_everywhere():
-    for r in (0.0, 0.3, 2.0, 8.0, 25.0):
+    # at r = 1e150 the polynomial alone overflows and the weight underflows
+    for r in (0.0, 0.3, 2.0, 8.0, 25.0, 1e150):
         value = radial_wavefunction(NATURAL, 2, 1, r)
         assert math.isfinite(value)
 
@@ -251,6 +252,22 @@ def test_radial_wavefunction_vs_mpmath(n, ell, r):
         y = mp.mpf(math.sqrt(2.0) * r * r)  # the y the library evaluates at
         want = float(y ** ((ell + 1) / 2) * mp.exp(-y / 2) * mp.laguerre(n, ell + 0.5, y))
     assert radial_wavefunction(NATURAL, n, ell, r) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [300, 400])
+@pytest.mark.parametrize("ell", [0.0, 2.5])
+def test_radial_wavefunction_at_large_n_vs_mpmath(n, ell):
+    # L_n overflows and the weight underflows on this grid, while f itself
+    # is of order 1 (n = 400, y = 1450 gives -0.979); the error is measured
+    # against the largest |f| on the grid, as in test_laguerre_vs_mpmath
+    rs = [math.sqrt(y / math.sqrt(2.0)) for y in range(1300, 1801, 25)]
+    with mp.workdps(30):
+        ys = [mp.mpf(math.sqrt(2.0) * r * r) for r in rs]  # the y the library evaluates at
+        want = [y ** ((ell + 1) / 2) * mp.exp(-y / 2) * mp.laguerre(n, ell + 0.5, y) for y in ys]
+    scale = max(abs(w) for w in want)
+    for r, w in zip(rs, want):
+        err = abs(radial_wavefunction(NATURAL, n, ell, r) - w) / scale
+        assert err <= 1e-12, (n, ell, r, float(err))
 
 
 def _count_nodes(n, ell):
