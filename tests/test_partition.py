@@ -261,6 +261,19 @@ def test_em_float_evaluation_within_summation_bound(mode, variant):
             assert abs(Fraction(got) - want) <= bound, (a, got, float(want))
 
 
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_em_any_order_within_summation_bound(mode):
+    # the one order left: partition_em against the order-2 Bernoulli sum
+    # that sympy builds, independently of em_coefficients
+    table = sympy_em_table(mode, 2)
+    for a in np.geomspace(0.2, 1e8, 60).tolist():
+        want = sum(c * Fraction(a) ** k for k, c in table.items())
+        bound = (len(table) + 2) * 2.0 ** -53 * sum(abs(float(c) * a ** k) for k, c in table.items())
+        got = partition_em(PartitionSpec(mode, a)).Z
+        assert got == em_z(mode, a)
+        assert abs(Fraction(got) - want) <= bound, a
+
+
 def test_em_order_2_derivatives_differentiate_the_table():
     a = Fraction(3, 7)
     z, dz, d2z = em_z_derivatives(THREE_D, a)
