@@ -68,13 +68,11 @@ _CHOICES = {
 
 # the fields each subcommand reads, in the order of its flags; every other
 # field of its manifest must keep its default
-_POTENTIAL = ("a1", "a2", "a3", "mass", "hbar")
 _OUTPUT = ("format", "out")
 SUBCOMMAND_FIELDS = {
-    "spectrum": _POTENTIAL + _OUTPUT + ("n_max", "ell_max", "m", "ell_mode", "case"),
-    "partition": _POTENTIAL + ("mode",) + _OUTPUT + ("alphas", "methods"),
-    "sweep": _POTENTIAL + ("mode",) + _OUTPUT
-    + ("alpha_min", "alpha_max", "points", "spacing", "z_method", "variant", "figure"),
+    "spectrum": ("a1", "a2", "a3", "mass", "hbar") + _OUTPUT + ("n_max", "ell_max", "m", "ell_mode", "case"),
+    "partition": ("mode",) + _OUTPUT + ("alphas", "methods"),
+    "sweep": ("mode",) + _OUTPUT + ("alpha_min", "alpha_max", "points", "spacing", "z_method", "variant", "figure"),
     "verify": (),
 }
 
@@ -107,15 +105,15 @@ class RunManifest:
     """
 
     subcommand: str
+    mode: str = THREE_D
+    format: str = "csv"
+    out: str | None = None
+    # spectrum; the level ladder of partition and sweep does not depend on the potential
     a1: float = 1.0
     a2: float = 0.0
     a3: float = 0.0
     mass: float = 1.0
     hbar: float = 1.0
-    mode: str = THREE_D
-    format: str = "csv"
-    out: str | None = None
-    # spectrum
     n_max: int = 3
     ell_max: int = 3
     m: int = 0
@@ -230,20 +228,9 @@ def _emit(manifest: RunManifest, columns, rows) -> None:
             handle.write(text)
 
 
-def _params(manifest: RunManifest) -> PotentialParams:
-    p = PotentialParams(a1=manifest.a1, a2=manifest.a2, a3=manifest.a3, mass=manifest.mass, hbar=manifest.hbar)
-    # the level ladder 4n + 2 ell + 3 of Z runs over integer ell, whatever a2 and a3
-    if manifest.subcommand != "spectrum" and (p.a2 != 0.0 or p.a3 != 0.0):
-        raise UsageError(
-            f"{manifest.subcommand} takes only a2 = a3 = 0, since its level ladder does not depend on them; "
-            f"got a2={p.a2}, a3={p.a3}"
-        )
-    return p
-
-
 def cmd_spectrum(manifest: RunManifest) -> int:
     """level table"""
-    p = _params(manifest)
+    p = PotentialParams(a1=manifest.a1, a2=manifest.a2, a3=manifest.a3, mass=manifest.mass, hbar=manifest.hbar)
     if manifest.case is not None:
         columns = ("N", "s", "m", "E_over_xi")
         rows = []
@@ -299,7 +286,6 @@ def cmd_partition(manifest: RunManifest) -> int:
     """partition-function comparison"""
     if not manifest.alphas:
         raise UsageError("partition requires at least one --alpha value")
-    _params(manifest)
     names = [m.replace("-", "_") for m in manifest.methods]
     pairs = tuple(itertools.combinations(range(len(names)), 2))
     columns = ["alpha_bar"] + [f"Z_{name}" for name in names] + [f"rd_{names[i]}_{names[j]}" for i, j in pairs]
@@ -313,7 +299,6 @@ def cmd_partition(manifest: RunManifest) -> int:
 
 def cmd_sweep(manifest: RunManifest) -> int:
     """temperature sweep / figure data"""
-    _params(manifest)
     mode = manifest.mode
     if manifest.figure is not None:
         columns = FIGURES[manifest.figure]

@@ -142,6 +142,8 @@ def _tail_bound(mode: str, n0: int, x: float) -> float:
     if lead == 0.0:
         return 0.0
     r = 1.0 - x
+    if r == 0.0:  # x rounds to 1 (alpha past about 1.8e16): no cutoff certifies the tail
+        return math.inf
     if mode == ONE_D:
         return lead / r
     c = n0 + 2.0
@@ -269,18 +271,17 @@ def em_coefficients(mode: str, variant: str = VARIANT_DERIVED):
 
 
 @functools.cache
-def _em_terms(mode: str, variant: str, exact: bool):
+def _em_terms(mode: str, variant: str):
     """(top, polys): Z, dZ/dalpha and d2Z/dalpha2 of a table, each as the
     (k, p, q) terms of its powers a^k, k >= 0, then the (-k, p, q) terms of
     its powers k < 0, highest power first, and the largest |k| of all.
-    p and q are floats unless ``exact``."""
+    p and q are ints, so the terms serve a float, an array or a Fraction."""
     tables = [em_coefficients(mode, variant)]
     for _ in range(2):
         tables.append({k - 1: k * v for k, v in tables[-1].items() if k})
-    cast = int if exact else float
     polys = []
     for table in tables:
-        terms = [(k, cast(v.numerator), cast(v.denominator)) for k, v in sorted(table.items(), reverse=True)]
+        terms = [(k, v.numerator, v.denominator) for k, v in sorted(table.items(), reverse=True)]
         polys.append((tuple(t for t in terms if t[0] >= 0), tuple((-k, p, q) for k, p, q in terms if k < 0)))
     return max(abs(k) for table in tables for k in table), tuple(polys)
 
@@ -314,15 +315,13 @@ def em_z_derivatives(mode: str, alpha_bar, variant: str = VARIANT_DERIVED):
     alpha, elementwise over an array of them, or exactly at a Fraction.
     The derivatives are those of the table's coefficients."""
     _check_alpha(alpha_bar)
-    return tuple(_em_evaluate(alpha_bar, *_em_terms(mode, variant, isinstance(alpha_bar, Fraction))))
+    return tuple(_em_evaluate(alpha_bar, *_em_terms(mode, variant)))
 
 
 def partition_em(spec: PartitionSpec) -> PartitionValue:
-    """Euler-Maclaurin partition function: ``em_z_derivatives(mode,
-    alpha_bar, variant)[0]`` bit for bit, without the derivatives."""
-    top, polys = _em_terms(spec.mode, spec.variant, False)
-    (z,) = _em_evaluate(spec.alpha_bar, top, polys[:1])
-    return PartitionValue(Z=z, method="euler_maclaurin")
+    """Euler-Maclaurin partition function, ``em_z_derivatives(mode,
+    alpha_bar, variant)[0]``."""
+    return PartitionValue(Z=em_z_derivatives(spec.mode, spec.alpha_bar, spec.variant)[0], method="euler_maclaurin")
 
 
 def convergence_integral(beta_xi: float) -> float:

@@ -305,9 +305,11 @@ def radial_wavefunction(p: PotentialParams, n: int, ell: float, r: float) -> flo
     evaluated by its recurrence, which keeps its digits where that
     alternating sum cancels.  y^mu e^(-y/2) is taken as one exponential,
     so it underflows to 0 where y^mu alone would overflow.  Where the
-    polynomial overflows or the weight underflows (n in the hundreds, or a
-    huge r), the polynomial is rerun as m 2^e and the value taken as
-    exp(mu ln y - y/2 + e ln 2) m.  Needs ell >= 0 and a finite r >= 0.
+    polynomial overflows or the weight under- or overflows (n in the
+    hundreds, ell in the hundreds, or a huge r), the polynomial is rerun as
+    m 2^e and the value taken as exp(mu ln y - y/2 + e ln 2) m; a value
+    past the float range even so is a ``DomainError``.  Needs ell >= 0 and
+    a finite r >= 0.
     """
     if r < 0.0:
         raise DomainError(f"r must be >= 0, got {r}")
@@ -319,10 +321,18 @@ def radial_wavefunction(p: PotentialParams, n: int, ell: float, r: float) -> flo
     if y == 0.0:
         return y ** mu * poly
     log_weight = mu * math.log(y) - 0.5 * y
-    value = math.exp(log_weight) * poly
+    try:
+        value = math.exp(log_weight) * poly
+    except OverflowError:  # the weight alone leaves the float range; m 2^e may bring it back
+        value = math.inf
     if value == 0.0 or not math.isfinite(value):
         m, e = _laguerre_frexp(n, ell + 0.5, y)
-        value = math.exp(log_weight + e * math.log(2.0)) * m
+        if m == 0.0:  # a node of the polynomial: 0 however large the weight
+            return m
+        try:
+            value = math.exp(log_weight + e * math.log(2.0)) * m
+        except OverflowError:
+            raise DomainError(f"radial function past the float range at n={n}, ell={ell}, r={r}") from None
     return value
 
 

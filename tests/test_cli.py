@@ -290,9 +290,10 @@ def test_exit_code_io_error(tmp_path):
         ({"subcommand": "tabulate"}, 2),
         ({"subcommand": "sweep", "mode": "2d"}, 2),
         ({"subcommand": "partition", "alphas": [1], "methods": ["em", "bogus"]}, 2),
+        # partition and sweep read no potential parameter, even one outside its domain
+        ({"subcommand": "partition", "alphas": [1], "a1": -5, "methods": ["em"]}, 2),
+        ({"subcommand": "sweep", "points": 2, "mass": -1, "hbar": 0}, 2),
         # potential parameters outside their domain, and a2 or a3 whose formulas overflow
-        ({"subcommand": "partition", "alphas": [1], "a1": -5, "methods": ["em"]}, 3),
-        ({"subcommand": "sweep", "points": 2, "mass": -1, "hbar": 0}, 3),
         ({"subcommand": "spectrum", "m": -1}, 3),
         ({"subcommand": "spectrum", "case": "a2_only", "m": -1}, 3),
         ({"subcommand": "spectrum", "a3": 1e200}, 3),
@@ -346,6 +347,10 @@ def test_negative_n_max_flag_is_domain_error(capsys):
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1e+308, a2=1.0, a3=0.0, hbar=1.0\n"),
         (["spectrum", "--mass", "1e308", "--a3", "1"],
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1e+308, a2=0.0, a3=1.0, hbar=1.0\n"),
+        # e^(-c/alpha) rounds to 1, so no cutoff certifies the tail (was a ZeroDivisionError)
+        *((["partition", "--mode", mode, "--alpha", alpha, "--methods", "direct"],
+           f"error: tail bound will not reach 1e-14 at alpha={float(alpha)}\n")
+          for mode in ("3d", "1d") for alpha in ("2e16", "1e17", "1e20", "1e100")),
     ],
 )
 def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
@@ -391,6 +396,9 @@ def test_readme_flag_table_lists_the_flags_of_each_subcommand():
         ["partition", "--alpha", "1", "--methods", "direct", "--cutoff", "5"],
         # argparse does not quote an unrecognized argument, so its line break is escaped
         ["spectrum", "--methods", "direct\nem"],
+        # retired: the level ladder of Z does not depend on the potential
+        ["partition", "--alpha", "1", "--a1", "7"],
+        ["sweep", "--hbar", "0.1"],
     ],
 )
 def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, argv):

@@ -63,8 +63,6 @@ def manifests(draw):
     subcommand = draw(st.sampled_from(("spectrum", "partition", "sweep", "tabulate")))
     reads = SUBCOMMAND_FIELDS.get(subcommand, ())
     valid = {name: DOMAINS[name][0] for name in reads if name in DOMAINS}
-    if subcommand != "spectrum":  # the level ladder of Z takes a2 = a3 = 0 only
-        valid.update({name: st.just(0.0) for name in ("a2", "a3") if name in valid})
     # an empty list of alphas stands for an absent one
     required = {"alphas": valid.pop("alphas")} if "alphas" in valid else {}
     manifest = {"subcommand": subcommand}

@@ -244,14 +244,36 @@ def test_radial_wavefunction_domain(ell, r):
         radial_wavefunction(NATURAL, 2, ell, r)
 
 
-# states where the alternating 1F1 sum cancels (n >= 40) and where y^mu
-# alone overflows (ell = 200) while the value lies below the smallest double
-@pytest.mark.parametrize("n,ell,r", [(40, 0.0, 3.0), (80, 0.0, 5.0), (150, 0.0, 5.0), (0, 200.0, 100.0)])
+# states where the alternating 1F1 sum cancels (n >= 40), where y^mu alone
+# overflows (ell = 200) while the value lies below the smallest double, and
+# where the weight y^mu e^(-y/2) overflows (e^711 at y = 302.4) while the
+# value, with L_1 = 0.1, lies just below the largest double
+@pytest.mark.parametrize(
+    "n,ell,r",
+    [(40, 0.0, 3.0), (80, 0.0, 5.0), (150, 0.0, 5.0), (0, 200.0, 100.0), (1, 301.0, math.sqrt(302.4 / math.sqrt(2.0)))],
+)
 def test_radial_wavefunction_vs_mpmath(n, ell, r):
     with mp.workdps(40):
         y = mp.mpf(math.sqrt(2.0) * r * r)  # the y the library evaluates at
         want = float(y ** ((ell + 1) / 2) * mp.exp(-y / 2) * mp.laguerre(n, ell + 0.5, y))
     assert radial_wavefunction(NATURAL, n, ell, r) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# the value itself lies past the largest double: e^2277 at the peak y = 801
+# of the n = 0 weight, and 4.0e308 at y = 302 for n = 1
+@pytest.mark.parametrize(
+    "n,ell,r", [(0, 800.0, math.sqrt(801 / math.sqrt(2.0))), (1, 301.0, math.sqrt(302.0 / math.sqrt(2.0)))]
+)
+def test_radial_wavefunction_past_the_float_range_is_domain_error(n, ell, r):
+    with pytest.raises(DomainError, match=f"at n={n}, ell={ell}, r={r}$"):
+        radial_wavefunction(NATURAL, n, ell, r)
+
+
+def test_radial_wavefunction_at_a_node_under_a_weight_past_the_float_range():
+    # y = 302.5 = 1 + a is the node of L_1^(a), a = 301.5, where the weight is e^711
+    r = 14.625313716598718
+    assert math.sqrt(2.0) * r * r == 302.5
+    assert radial_wavefunction(NATURAL, 1, 301.0, r) == 0.0
 
 
 @pytest.mark.parametrize("n", [300, 400])
