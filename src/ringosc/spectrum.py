@@ -94,20 +94,25 @@ class PotentialParams:
         return self.hbar * self.a1 / math.sqrt(2.0 * self.mass)
 
 
-def _sin_strength(p: PotentialParams, m: int) -> float:
-    # coefficient of 1/sin^2 in the angular equation: m^2 + 2 M a2^2 / hbar^2;
-    # a2^2 comes first, so that a2 = 0 gives 0 and not inf * 0 at M > 8.9e307
-    return m * m + p.a2 ** 2 * p.mass * 2.0 / p.hbar ** 2
+def _strength(p: PotentialParams, a: float) -> float:
+    """2 M a^2 / hbar^2, the strength of the angular coupling a (a2 or a3).
 
-
-def _cot_strength(p: PotentialParams) -> float:
-    # coefficient of cot^2 in the angular equation: 2 M a3^2 / hbar^2
-    return p.a3 ** 2 * p.mass * 2.0 / p.hbar ** 2
+    a = 0 gives exactly 0, whatever M and hbar.  Where a^2 or hbar^2 alone
+    leaves the float range, a/hbar is squared instead, so the strength
+    over- or underflows as the quotient itself does, to inf or to 0.
+    """
+    if a == 0.0:
+        return 0.0
+    try:
+        return a ** 2 * p.mass * 2.0 / p.hbar ** 2
+    except (OverflowError, ZeroDivisionError):
+        ratio = a / p.hbar
+        return ratio * p.mass * 2.0 * ratio
 
 
 def big_lambda(p: PotentialParams, m: int) -> float:
     """Lambda = sqrt(1 + m^2 + 2 M a2^2/hbar^2 + 2 M a3^2/hbar^2)."""
-    return math.sqrt(1.0 + _sin_strength(p, m) + _cot_strength(p))
+    return math.sqrt(1.0 + (m * m + _strength(p, p.a2)) + _strength(p, p.a3))
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ def angular_solution(p: PotentialParams, s: int, m: int) -> AngularSolution:
         raise DomainError("s and m must be non-negative integers")
     lam = big_lambda(p, m)
     odd = 1.0 + 2.0 * s
-    L = -1.0 + 0.5 * math.sqrt(odd * (odd + 4.0 * lam) + 4.0 * (1.0 + _sin_strength(p, m)))
+    L = -1.0 + 0.5 * math.sqrt(odd * (odd + 4.0 * lam) + 4.0 * (1.0 + (m * m + _strength(p, p.a2))))
     if not math.isfinite(L):  # an infinite Lambda makes L infinite too
         raise DomainError(f"2 M a^2 / hbar^2 overflows a float at mass={p.mass}, a2={p.a2}, a3={p.a3}, hbar={p.hbar}")
     return AngularSolution(s=int(s), m=int(m), Lambda=lam, L=L, ell_eff=L + 0.5)
@@ -157,8 +162,8 @@ def angular_problem(p: PotentialParams, m: int, separation_constant: float) -> N
         b1 = b2 = 0, b3 = 1/2,
         x1 = (ell(ell+1) + B)/4, x2 = (ell(ell+1) + B)/2, x3 = (A + B)/4.
     """
-    A = _sin_strength(p, m)
-    B = _cot_strength(p)
+    A = m * m + _strength(p, p.a2)
+    B = _strength(p, p.a3)
     q = separation_constant + B
     return NUProblem(beta1=0.0, beta2=0.0, beta3=0.5, xi1=0.25 * q, xi2=0.5 * q, xi3=0.25 * (A + B))
 

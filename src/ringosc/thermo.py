@@ -72,6 +72,7 @@ SPACINGS = ("log", "lin")
 DERIVATIVE_SCHEMES = ("analytic", "central_difference")
 FD_STEP_REL = 1e-5  # relative step of the central differences
 JUMP_THRESHOLD = 10.0  # the slope ratio above which the jump scan flags a step
+LEAST_FLOAT = 5e-324  # the least positive (subnormal) float
 
 
 class ThermoPoint(NamedTuple):
@@ -120,7 +121,9 @@ def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
     if derivative_scheme == "analytic":
         if z_method == "direct":
             log_z, u, var = ladder_log_z_moments(mode, a)
-            z, c = np.exp(log_z), var / (a * a)
+            # var > 0 only above alpha ~ 1e-3, where adding the least float leaves a * a
+            # as it is; below alpha ~ 1.57e-162 it keeps a * a above 0, so C is 0, not 0/0
+            z, c = np.exp(log_z), var / (a * a + LEAST_FLOAT)
         else:
             ((z, dz, d2z),) = _em_z_derivatives((a,), mode, variant)
             g1 = dz / z

@@ -3,11 +3,13 @@ determinism and the exit-code contract."""
 
 import json
 import math
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import ringosc
 from ringosc import partition, verification
 from ringosc.cli import _CHOICES, FIGURES, RunManifest, build_parser, main, render_csv, run
 from ringosc.errors import UsageError
@@ -351,6 +353,13 @@ def test_negative_n_max_flag_is_domain_error(capsys):
         *((["partition", "--mode", mode, "--alpha", alpha, "--methods", "direct"],
            f"error: tail bound will not reach 1e-14 at alpha={float(alpha)}\n")
           for mode in ("3d", "1d") for alpha in ("2e16", "1e17", "1e20", "1e100")),
+        # a2^2, a3^2 or hbar^2 alone leaves the float range (was a raw OverflowError or ZeroDivisionError)
+        (["spectrum", "--a2", "1e160", "--n-max", "0"],
+         "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=1e+160, a3=0.0, hbar=1.0\n"),
+        (["spectrum", "--a3", "1e200"],
+         "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=0.0, a3=1e+200, hbar=1.0\n"),
+        (["spectrum", "--hbar", "1e-200", "--a2", "1"],
+         "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=1.0, a3=0.0, hbar=1e-200\n"),
     ],
 )
 def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
@@ -358,6 +367,24 @@ def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a2 = a3 = 0 gives strengths of exactly 0, though hbar^2 leaves the float range
+        # (--hbar 1e-200 was a raw ZeroDivisionError, --hbar 1e200 a raw OverflowError)
+        ["spectrum", "--hbar", "1e-200"],
+        ["spectrum", "--hbar", "1e200"],
+        # 2 M a2^2 / hbar^2 = 2e-400 underflows to 0
+        ["spectrum", "--hbar", "1e200", "--a2", "1"],
+    ],
+)
+def test_zero_coupling_strength_prints_the_default_spectrum(capsys, argv):
+    assert main(["spectrum"]) == 0
+    default = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == default
 
 
 def test_flag_choices_are_the_manifest_choices():
@@ -381,6 +408,14 @@ def test_readme_flag_table_lists_the_flags_of_each_subcommand():
     for name, sub in subparsers.choices.items():
         flags = [flag for action in sub._actions if action.dest != "help" for flag in action.option_strings]
         assert re.findall(r"--[\w-]+", table[name]) == flags, name
+
+
+def test_readme_module_table_lists_the_modules_of_the_package():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `([\w.]+)` \|", section, re.MULTILINE)
+    modules = ["ringosc"] + [info.name for info in pkgutil.iter_modules(ringosc.__path__, "ringosc.")]
+    assert sorted(table) == sorted(modules)
 
 
 @pytest.mark.parametrize(

@@ -356,6 +356,21 @@ def test_every_route_is_finite_up_to_alpha_max(mode):
         assert thermo_point(ALPHA_MAX, mode, z_method) == points[-1]
 
 
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_specific_heat_is_zero_where_alpha_squared_underflows(mode):
+    # below alpha ~ 1.57e-162, alpha^2 underflows to 0 where the variance is exactly 0:
+    # C was 0/0 = nan, with a RuntimeWarning, and the sweep's C flag read False
+    grid = (1.5e-162, 1e-200, 1e-300)
+    with np.errstate(divide="raise", invalid="raise"):
+        for alpha in grid:
+            point = thermo_point(alpha, mode)
+            assert np.isfinite(point[:6]).all()
+            assert point.C_bar == 0.0
+        result = sweep(SweepSpec(tuple(sorted(grid)), mode=mode))
+    assert all(np.isfinite(pt[:6]).all() and pt.C_bar == 0.0 for pt in result.points)
+    assert all(result.monotonicity.values())
+
+
 @pytest.mark.parametrize("bad", [ALPHA_MAX * 1.0000001, 1e300, math.inf])
 def test_alpha_above_alpha_max_is_domain_error(bad):
     with pytest.raises(DomainError, match="at most 1e\\+100"):
