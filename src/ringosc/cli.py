@@ -31,7 +31,7 @@ from .partition import (
     VARIANT_PAPER,
     VARIANTS,
     PartitionSpec,
-    partition_closed_form_1d,
+    partition_closed_form,
     partition_direct,
     partition_em,
 )
@@ -277,9 +277,7 @@ def _partition_value(method: str, manifest: RunManifest, alpha: float):
         # the alternate form exists for the 1d ladder only
         return partition_em(dataclasses.replace(spec, variant=VARIANT_PAPER))
     # 'exact', the geometric closed form
-    if manifest.mode != ONE_D:
-        raise UsageError("method 'exact' (geometric closed form) applies to the 1d ladder only")
-    return partition_closed_form_1d(alpha)
+    return partition_closed_form(manifest.mode, alpha)
 
 
 def cmd_partition(manifest: RunManifest) -> int:

@@ -8,7 +8,10 @@ Routes to Z, all in the dimensionless temperature alpha = 1/(beta xi):
   is the ``direct`` route of the thermal functions;
 * ``partition_direct`` sums the Boltzmann series term by term and
   certifies the truncation with an explicit closed-form tail bound, so
-  it serves as the reference for every closed form;
+  it serves as the reference for every closed form.  It sums blocks of
+  ``BLOCK`` terms, so its memory does not grow with alpha, and takes
+  alpha up to ``DIRECT_ALPHA_MAX``, where the certified cutoff reaches
+  the 2^26 terms ``suggested_cutoff`` gives at most;
 * ``em_coefficients`` is the paper's second-order Euler-Maclaurin
   approximant as one exact table of rational coefficients of powers of
   alpha; ``partition_em`` evaluates it and ``em_z_derivatives`` gives Z,
@@ -21,8 +24,8 @@ start at a bare 1 and Z(alpha -> 0+) = 1:
     1d: Z = sum_{N>=0}  exp(-N/alpha)                  (single ladder)
 
 Both series are geometric: with x = e^(-2/alpha) the 3d one is
-(1 + x)/(1 - x)^3, and with x = e^(-1/alpha) the 1d one is 1/(1 - x),
-also exposed as ``partition_closed_form_1d``.
+(1 + x)/(1 - x)^3, and with x = e^(-1/alpha) the 1d one is 1/(1 - x);
+``partition_closed_form`` gives either.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ __all__ = [
     "ONE_D",
     "MODES",
     "ALPHA_MAX",
+    "DIRECT_ALPHA_MAX",
     "PartitionSpec",
     "PartitionValue",
     "partition_direct",
-    "partition_closed_form_1d",
+    "partition_closed_form",
     "suggested_cutoff",
     "ladder_log_z_moments",
     "em_coefficients",
@@ -71,6 +75,10 @@ TAIL_RTOL = 1e-14  # relative accuracy a direct sum certifies
 # the largest alpha_bar taken: Z ~ alpha^3/4 of the 3d ladder leaves the float
 # range near alpha = 7e102, and the specific heat divides by alpha^2
 ALPHA_MAX = 1e100
+# the largest alpha_bar whose cutoff suggested_cutoff accepts (at most
+# 2^26 terms), rounded down to 4 significant digits
+DIRECT_ALPHA_MAX = {THREE_D: 1.638e6, ONE_D: 1.445e6}
+BLOCK = 2 ** 16  # terms summed at once by partition_direct
 
 
 def _check_mode(mode: str) -> None:
@@ -123,27 +131,22 @@ class PartitionValue:
     tail_bound: float = 0.0
 
 
-def _boltzmann_factor(mode: str, alpha_bar: float) -> float:
-    # common ratio of successive terms (ignoring weights)
-    return math.exp(-2.0 / alpha_bar) if mode == THREE_D else math.exp(-1.0 / alpha_bar)
+def _ratio(mode: str, alpha_bar: float) -> tuple[float, float]:
+    """x = e^(-c/alpha), the common ratio of successive terms (ignoring
+    weights), and 1 - x without cancellation; c = 2 (3d) or 1 (1d)."""
+    u = (2.0 if mode == THREE_D else 1.0) / alpha_bar
+    return math.exp(-u), -math.expm1(-u)
 
 
-def _tail_bound(mode: str, n0: int, x: float) -> float:
-    """Exact closed form of the dropped tail past index n0 (0 < x < 1).
+def _tail_bound(mode: str, n0: int, x: float, r: float) -> float:
+    """Exact closed form of the dropped tail past index n0, with r = 1 - x.
 
     For the 1d geometric series the tail is x^(n0+1)/(1-x); for the
     weighted 3d series it follows from the quadratic-weight geometric
     sums with shifted index.  Being exact, it is in particular a valid
     (and tight) bound.
     """
-    if x <= 0.0:
-        return 0.0
     lead = x ** (n0 + 1)
-    if lead == 0.0:
-        return 0.0
-    r = 1.0 - x
-    if r == 0.0:  # x rounds to 1 (alpha past about 1.8e16): no cutoff certifies the tail
-        return math.inf
     if mode == ONE_D:
         return lead / r
     c = n0 + 2.0
@@ -158,24 +161,25 @@ def suggested_cutoff(mode: str, alpha_bar: float) -> int:
     """
     _check_mode(mode)
     _check_alpha(alpha_bar)
-    x = _boltzmann_factor(mode, alpha_bar)
+    x, r = _ratio(mode, alpha_bar)
     hi = 16
-    while _tail_bound(mode, hi, x) > TAIL_RTOL:
+    while _tail_bound(mode, hi, x, r) > TAIL_RTOL:
         hi *= 2
         if hi > 10 ** 8:
             raise ConvergenceError(f"tail bound will not reach {TAIL_RTOL} at alpha={alpha_bar}")
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _tail_bound(mode, mid, x) > TAIL_RTOL:
+        if _tail_bound(mode, mid, x, r) > TAIL_RTOL:
             lo = mid
         else:
             hi = mid
     return hi
 
 
-def _series_terms(mode: str, alpha_bar: float, n0: int) -> np.ndarray:
-    idx = np.arange(n0 + 1, dtype=float)
+def _series_terms(mode: str, alpha_bar: float, start: int, stop: int) -> np.ndarray:
+    """Terms start to stop - 1 of the Boltzmann series."""
+    idx = np.arange(start, stop, dtype=float)
     if mode == THREE_D:
         return (1.0 + idx) ** 2 * np.exp(-2.0 * idx / alpha_bar)
     return np.exp(-idx / alpha_bar)
@@ -183,21 +187,30 @@ def _series_terms(mode: str, alpha_bar: float, n0: int) -> np.ndarray:
 
 def partition_direct(spec: PartitionSpec) -> PartitionValue:
     """Boltzmann sum truncated at ``suggested_cutoff``, with its certified
-    tail bound; raises ``ConvergenceError`` if that bound exceeds
-    ``TAIL_RTOL`` times the sum.
+    tail bound; raises ``DomainError`` above ``DIRECT_ALPHA_MAX`` and
+    ``ConvergenceError`` if the tail bound exceeds ``TAIL_RTOL`` times the
+    sum.  The terms are summed in blocks of ``BLOCK``, so memory does not
+    grow with alpha; a sum of one block is numpy's sum of the whole series.
     """
+    bound = DIRECT_ALPHA_MAX[spec.mode]
+    if spec.alpha_bar > bound:
+        raise DomainError(f"the {spec.mode} direct sum takes alpha_bar at most {bound:g}, got {spec.alpha_bar}")
     n0 = suggested_cutoff(spec.mode, spec.alpha_bar)
-    z = float(_series_terms(spec.mode, spec.alpha_bar, n0).sum())
-    tail = _tail_bound(spec.mode, n0, _boltzmann_factor(spec.mode, spec.alpha_bar))
+    blocks = range(0, n0 + 1, BLOCK)
+    z = math.fsum(_series_terms(spec.mode, spec.alpha_bar, i, min(i + BLOCK, n0 + 1)).sum() for i in blocks)
+    tail = _tail_bound(spec.mode, n0, *_ratio(spec.mode, spec.alpha_bar))
     if tail > TAIL_RTOL * z:
         raise ConvergenceError(f"cutoff {n0} leaves tail bound {tail:.3e} > {TAIL_RTOL:.1e} * Z")
     return PartitionValue(Z=z, method="direct", tail_bound=tail)
 
 
-def partition_closed_form_1d(alpha_bar: float) -> PartitionValue:
-    """Exact geometric closed form 1/(1 - e^(-1/alpha)) of the 1d ladder."""
+def partition_closed_form(mode: str, alpha_bar: float) -> PartitionValue:
+    """Exact geometric closed form of the ladder: (1 + x)/(1 - x)^3 (3d)
+    or 1/(1 - x) (1d), with x = e^(-c/alpha)."""
+    _check_mode(mode)
     _check_alpha(alpha_bar)
-    return PartitionValue(Z=1.0 / -math.expm1(-1.0 / alpha_bar), method="closed_form_exact")
+    x, r = _ratio(mode, alpha_bar)
+    return PartitionValue(Z=1.0 / r if mode == ONE_D else (1.0 + x) / r ** 3, method="closed_form_exact")
 
 
 def ladder_log_z_moments(mode: str, alpha_bar):

@@ -90,8 +90,14 @@ class PotentialParams:
 
     @property
     def xi(self) -> float:
-        """Level spacing scale sqrt(hbar^2 a1^2 / (2 M))."""
-        return self.hbar * self.a1 / math.sqrt(2.0 * self.mass)
+        """Level spacing scale sqrt(hbar^2 a1^2 / (2 M)); a DomainError where
+        it under- or overflows, since the energies divide by it or scale with it."""
+        xi = self.hbar * self.a1 / math.sqrt(2.0 * self.mass)
+        if not (math.isfinite(xi) and xi > 0.0):
+            raise DomainError(
+                f"xi = hbar a1 / sqrt(2 M) leaves the float range at a1={self.a1}, mass={self.mass}, hbar={self.hbar}"
+            )
+        return xi
 
 
 def _strength(p: PotentialParams, a: float) -> float:

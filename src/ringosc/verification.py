@@ -114,7 +114,7 @@ def check_em1d_vs_exact() -> CheckResult:
     tol = 1e-4
     worst = 0.0
     for alpha in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
-        exact = partition.partition_closed_form_1d(alpha).Z
+        exact = partition.partition_closed_form(partition.ONE_D, alpha).Z
         derived = partition.partition_em(partition.PartitionSpec(partition.ONE_D, alpha)).Z
         worst = max(worst, abs(derived - exact) / exact)
     return CheckResult(

@@ -234,7 +234,7 @@ def test_exit_code_usage_error():
 
 
 def test_exit_code_usage_error_from_manifest():
-    assert main(["partition", "--mode", "3d", "--alpha", "1", "--methods", "exact"]) == 2
+    assert main(["partition", "--mode", "3d", "--alpha", "1", "--methods", "exact,bogus"]) == 2
 
 
 def test_exit_code_domain_error():
@@ -349,10 +349,10 @@ def test_negative_n_max_flag_is_domain_error(capsys):
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1e+308, a2=1.0, a3=0.0, hbar=1.0\n"),
         (["spectrum", "--mass", "1e308", "--a3", "1"],
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1e+308, a2=0.0, a3=1.0, hbar=1.0\n"),
-        # e^(-c/alpha) rounds to 1, so no cutoff certifies the tail (was a ZeroDivisionError)
+        # past the largest cutoff the direct sum takes, refused before any work
         *((["partition", "--mode", mode, "--alpha", alpha, "--methods", "direct"],
-           f"error: tail bound will not reach 1e-14 at alpha={float(alpha)}\n")
-          for mode in ("3d", "1d") for alpha in ("2e16", "1e17", "1e20", "1e100")),
+           f"error: the {mode} direct sum takes alpha_bar at most {bound}, got {float(alpha)}\n")
+          for mode, bound in (("3d", "1.638e+06"), ("1d", "1.445e+06")) for alpha in ("2e16", "1e17", "1e20", "1e100")),
         # a2^2, a3^2 or hbar^2 alone leaves the float range (was a raw OverflowError or ZeroDivisionError)
         (["spectrum", "--a2", "1e160", "--n-max", "0"],
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=1e+160, a3=0.0, hbar=1.0\n"),
@@ -360,6 +360,12 @@ def test_negative_n_max_flag_is_domain_error(capsys):
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=0.0, a3=1e+200, hbar=1.0\n"),
         (["spectrum", "--hbar", "1e-200", "--a2", "1"],
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=1.0, a3=0.0, hbar=1e-200\n"),
+        # xi of the case energies over- or underflows (printed nan, or was a raw ZeroDivisionError)
+        (["spectrum", "--case", "oscillator", "--a1", "1e300", "--mass", "1e-300", "--hbar", "1e300",
+          "--n-max", "0", "--ell-max", "0"],
+         "error: xi = hbar a1 / sqrt(2 M) leaves the float range at a1=1e+300, mass=1e-300, hbar=1e+300\n"),
+        (["spectrum", "--case", "oscillator", "--hbar", "1e-200", "--a1", "1e-200"],
+         "error: xi = hbar a1 / sqrt(2 M) leaves the float range at a1=1e-200, mass=1.0, hbar=1e-200\n"),
     ],
 )
 def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):

@@ -1,8 +1,11 @@
 """Tests for the partition-function routes and their cross-agreement."""
 
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +14,8 @@ from ringosc import partition
 from ringosc.errors import ConvergenceError, DomainError, UsageError
 from ringosc.partition import (
     ALPHA_MAX,
+    BLOCK,
+    DIRECT_ALPHA_MAX,
     ONE_D,
     THREE_D,
     VARIANT_DERIVED,
@@ -20,7 +25,7 @@ from ringosc.partition import (
     em_coefficients,
     em_z_derivatives,
     ladder_log_z_moments,
-    partition_closed_form_1d,
+    partition_closed_form,
     partition_direct,
     partition_em,
     suggested_cutoff,
@@ -43,7 +48,7 @@ def test_direct_1d_low_temperature_limit():
 
 def test_direct_1d_matches_geometric_closed_form():
     value = partition_direct(PartitionSpec(ONE_D, 1.0))
-    exact = partition_closed_form_1d(1.0)
+    exact = partition_closed_form(ONE_D, 1.0)
     assert exact.Z == pytest.approx(1.5819767068693265, rel=1e-15)  # frozen oracle
     assert value.Z == pytest.approx(exact.Z, rel=1e-13)
     assert value.method == "direct"
@@ -79,7 +84,7 @@ def test_closed_forms_are_finite_up_to_alpha_max(mode):
     grid = np.geomspace(1e-3, ALPHA_MAX, 300).tolist()
     assert all(math.isfinite(partition_em(PartitionSpec(mode, a)).Z) for a in grid)
     assert all(math.isfinite(v) for a in grid for v in ladder_log_z_moments(mode, a))
-    assert all(math.isfinite(partition_closed_form_1d(a).Z) for a in grid)
+    assert all(math.isfinite(partition_closed_form(mode, a).Z) for a in grid)
     for bad in (ALPHA_MAX * 1.0000001, 1e120):
         with pytest.raises(DomainError, match="at most 1e\\+100"):
             PartitionSpec(mode, bad)
@@ -96,6 +101,65 @@ def test_direct_monotone_increasing_and_positive():
 
 def test_suggested_cutoff_scales_with_alpha():
     assert suggested_cutoff(THREE_D, 1.0) < suggested_cutoff(THREE_D, 10.0) < suggested_cutoff(THREE_D, 100.0)
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_direct_alpha_max_is_the_largest_accepted_cutoff(monkeypatch, mode):
+    bound = DIRECT_ALPHA_MAX[mode]
+    assert suggested_cutoff(mode, bound) <= 2 ** 26
+    with pytest.raises(ConvergenceError):
+        suggested_cutoff(mode, 1.001 * bound)
+    # refused before any work, with a message that names the bound
+    monkeypatch.setattr(partition, "suggested_cutoff", None)
+    with pytest.raises(DomainError, match=re.escape(f"at most {bound:g}, got")):
+        partition_direct(PartitionSpec(mode, 1.001 * bound))
+
+
+GOLDEN_ALPHAS = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0)
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_direct_sum_of_one_block_is_the_whole_array_sum(mode):
+    for alpha in GOLDEN_ALPHAS:
+        n0 = suggested_cutoff(mode, alpha)
+        assert n0 + 1 <= BLOCK
+        idx = np.arange(n0 + 1, dtype=float)
+        if mode == THREE_D:
+            terms = (1.0 + idx) ** 2 * np.exp(-2.0 * idx / alpha)
+        else:
+            terms = np.exp(-idx / alpha)
+        assert partition_direct(PartitionSpec(mode, alpha)).Z == float(terms.sum())
+
+
+def exact_z(mode, alpha):
+    # independent oracle: the geometric closed form in 40-digit arithmetic
+    with mp.workdps(40):
+        x = mp.exp(-(2 if mode == THREE_D else 1) / mp.mpf(alpha))
+        return float((1 + x) / (1 - x) ** 3 if mode == THREE_D else 1 / (1 - x))
+
+
+@pytest.mark.parametrize("mode, alpha", [(THREE_D, 1e4), (ONE_D, 1e4), (THREE_D, 1e5)])
+def test_direct_sum_of_many_blocks_meets_the_closed_form(mode, alpha):
+    assert suggested_cutoff(mode, alpha) + 1 > 2 * BLOCK
+    assert partition_direct(PartitionSpec(mode, alpha)).Z == pytest.approx(exact_z(mode, alpha), rel=1e-14)
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_direct_sum_memory_does_not_grow_with_alpha(mode):
+    # numpy reports its buffers to tracemalloc; the whole series at 1e5 is about 100 MiB
+    tracemalloc.start()
+    try:
+        partition_direct(PartitionSpec(mode, 1e5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_exact_3d_column_meets_the_direct_sum():
+    for alpha in np.geomspace(0.2, 1e4).tolist():
+        direct = partition_direct(PartitionSpec(THREE_D, alpha)).Z
+        assert partition_closed_form(THREE_D, alpha).Z == pytest.approx(direct, rel=1e-14)
 
 
 def test_spec_validation():
@@ -326,7 +390,7 @@ def test_em_1d_exact_fractions_at_unit_alpha():
 def test_em_1d_derived_tracks_exact_form():
     rels = []
     for alpha in (1.0, 2.0, 5.0, 10.0):
-        exact = partition_closed_form_1d(alpha).Z
+        exact = partition_closed_form(ONE_D, alpha).Z
         rels.append(abs(em_z(ONE_D, alpha) - exact) / exact)
     assert all(b < a for a, b in zip(rels, rels[1:]))
     assert rels[0] < 1e-4
