@@ -35,7 +35,14 @@ from .partition import (
     partition_direct,
     partition_em,
 )
-from .spectrum import SPECIAL_CASES, PotentialParams, angular_solution, degeneracy, energy_over_xi, energy_special_case
+from .spectrum import (
+    SPECIAL_CASES,
+    PotentialParams,
+    angular_solution,
+    degeneracy,
+    energy_over_xi,
+    energy_over_xi_special_case,
+)
 from .thermo import SPACINGS, Z_METHODS, SweepSpec, scan_jumps, sweep
 
 __all__ = ["RunManifest", "FIGURES", "main", "run"]
@@ -236,8 +243,7 @@ def cmd_spectrum(manifest: RunManifest) -> int:
         rows = []
         for big_n in range(manifest.n_max + 1):
             for s in range(manifest.ell_max + 1):
-                e = energy_special_case(p, manifest.case, big_n, s, manifest.m) / p.xi
-                rows.append((big_n, s, manifest.m, e))
+                rows.append((big_n, s, manifest.m, energy_over_xi_special_case(p, manifest.case, big_n, s, manifest.m)))
         _emit(manifest, columns, rows)
         return 0
 

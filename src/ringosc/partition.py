@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -40,7 +39,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UsageError
-from .specfun import bernoulli
 
 __all__ = [
     "THREE_D",
@@ -57,7 +55,6 @@ __all__ = [
     "em_coefficients",
     "em_z_derivatives",
     "partition_em",
-    "convergence_integral",
     "VARIANT_DERIVED",
     "VARIANT_PAPER",
     "VARIANTS",
@@ -244,11 +241,25 @@ def ladder_log_z_moments(mode: str, alpha_bar):
     return np.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
 
 
-@functools.cache
+# the tables em_coefficients states, keyed by (mode, variant)
+_EM_TABLES = {
+    (THREE_D, VARIANT_DERIVED): MappingProxyType({
+        3: Fraction(1, 4), 2: Fraction(1, 2), 1: Fraction(1, 2), 0: Fraction(1, 3),
+        -1: Fraction(3, 20), -2: Fraction(1, 30), -3: Fraction(-1, 90),
+    }),
+    (ONE_D, VARIANT_DERIVED): MappingProxyType({
+        1: Fraction(1), 0: Fraction(1, 2), -1: Fraction(1, 12), -3: Fraction(-1, 720),
+    }),
+    (ONE_D, VARIANT_PAPER): MappingProxyType({
+        3: Fraction(-1, 5400), 1: Fraction(1), 0: Fraction(1, 2), -1: Fraction(1, 12),
+    }),
+}
+
+
 def em_coefficients(mode: str, variant: str = VARIANT_DERIVED):
     """The second-order Euler-Maclaurin approximant of Z as a Laurent
-    polynomial in alpha: a read-only ``{power of alpha: Fraction}``, cached,
-    never rebuilt per call.
+    polynomial in alpha: a read-only ``{power of alpha: Fraction}``, stated
+    once and never rebuilt per call.
 
     With f(x) = w(x) e^(-c x/alpha), w = (1+x)^2 and c = 2 (3d) or w = 1
     and c = 1 (1d), the approximant of sum_{m>=0} f(m) is
@@ -267,20 +278,9 @@ def em_coefficients(mode: str, variant: str = VARIANT_DERIVED):
     everywhere.  The 3d form has no 'paper' variant.
     """
     _check_mode(mode)
-    if variant != VARIANT_DERIVED and (variant, mode) != (VARIANT_PAPER, ONE_D):
+    if (mode, variant) not in _EM_TABLES:
         raise UsageError(f"the {mode} form has no variant {variant!r}; 'paper' is 1d only")
-    c, weights = (2, (1, 2, 1)) if mode == THREE_D else (1, (1,))
-    table = defaultdict(Fraction, {0: Fraction(weights[0], 2)})
-    for j, w in enumerate(weights):
-        table[j + 1] += Fraction(w * math.factorial(j), c ** (j + 1))
-    for k in (1, 2):
-        m = 2 * k - 1
-        for j, w in enumerate(weights[: m + 1]):
-            table[j - m] -= bernoulli(k) / math.factorial(2 * k) * w * math.perm(m, j) * (-c) ** (m - j)
-    if variant == VARIANT_PAPER:
-        del table[-3]
-        table[3] = Fraction(-1, 5400)
-    return MappingProxyType({k: v for k, v in table.items() if v})
+    return _EM_TABLES[mode, variant]
 
 
 @functools.cache
@@ -305,20 +305,25 @@ def _em_evaluate(alpha_bar, top, polys):
 
     Powers are products, since numpy's array power rounds differently from
     the scalar one and a point must match the same alpha inside a sweep.
+    Where a power leaves the float range a value can be inf or NaN, which
+    its callers reject; a float power that underflows to 0 cannot divide,
+    so there the form is a ``DomainError`` at once.
     """
     powers = [alpha_bar ** 0, alpha_bar]  # a 1 of alpha's own type
     values = []
-    # near ALPHA_MAX the top powers and q a^k overflow to inf; they only
-    # divide, into terms that are 0 in floats anyway
-    with np.errstate(over="ignore"):
+    # the callers reject the inf and NaN past the float range, so numpy need not warn
+    with np.errstate(all="ignore"):
         for _ in range(top - 1):
             powers.append(powers[-1] * alpha_bar)
         for up, down in polys:
             total = 0
             for k, p, q in up:
                 total += p * powers[k] / q
-            for k, p, q in down:
-                total += p / (q * powers[k])
+            try:
+                for k, p, q in down:
+                    total += p / (q * powers[k])
+            except ZeroDivisionError:
+                raise DomainError(f"the Euler-Maclaurin form leaves the float range at alpha_bar={alpha_bar}") from None
             values.append(total)
     return values
 
@@ -326,28 +331,19 @@ def _em_evaluate(alpha_bar, top, polys):
 def em_z_derivatives(mode: str, alpha_bar, variant: str = VARIANT_DERIVED):
     """(Z, dZ/dalpha, d2Z/dalpha2) of the Euler-Maclaurin form, at one
     alpha, elementwise over an array of them, or exactly at a Fraction.
-    The derivatives are those of the table's coefficients."""
+    The derivatives are those of the table's coefficients; where they leave
+    the float range they can be inf or NaN."""
     _check_alpha(alpha_bar)
     return tuple(_em_evaluate(alpha_bar, *_em_terms(mode, variant)))
 
 
 def partition_em(spec: PartitionSpec) -> PartitionValue:
     """Euler-Maclaurin partition function, ``em_z_derivatives(mode,
-    alpha_bar, variant)[0]``."""
-    return PartitionValue(Z=em_z_derivatives(spec.mode, spec.alpha_bar, spec.variant)[0], method="euler_maclaurin")
-
-
-def convergence_integral(beta_xi: float) -> float:
-    """Closed form of the weighted Boltzmann integral that dominates the
-    3d series:
-
-        int_0^inf (1+x)^2 e^(-beta xi (2x+3)) dx
-            = [1 + 2 beta xi (1 + beta xi)] e^(-3 beta xi) / (4 (beta xi)^3).
-
-    Its finiteness is what makes the series summable; the value is also a
-    quadrature-checkable identity.
-    """
-    if not (math.isfinite(beta_xi) and beta_xi > 0.0):
-        raise DomainError(f"beta_xi must be > 0, got {beta_xi}")
-    u = beta_xi
-    return (1.0 + 2.0 * u * (1.0 + u)) * math.exp(-3.0 * u) / (4.0 * u ** 3)
+    alpha_bar, variant)[0]``; a ``DomainError`` where it is not a finite
+    float."""
+    _check_alpha(spec.alpha_bar)
+    top, polys = _em_terms(spec.mode, spec.variant)
+    (z,) = _em_evaluate(spec.alpha_bar, top, polys[:1])
+    if not math.isfinite(z):
+        raise DomainError(f"the Euler-Maclaurin Z is {z} at alpha_bar={spec.alpha_bar}, past the float range")
+    return PartitionValue(Z=z, method="euler_maclaurin")

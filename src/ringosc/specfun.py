@@ -1,8 +1,7 @@
-"""Special functions needed by the spectral and thermal modules.
+"""Special functions needed by the spectral module.
 
 Everything here is exact at desk scale: Jacobi and Laguerre polynomials
-by their three-term recurrences (DLMF 18.9), and a lookup table of
-exact-rational Bernoulli numbers.  The terminating confluent
+by their three-term recurrences (DLMF 18.9).  The terminating confluent
 hypergeometric sum and the Gamma-function ratio are the paper's form of
 the radial polynomial, L_n^(a)(y) = C(n + a, n) 1F1(-n; a + 1; y)
 (DLMF 13.6); they are kept as the oracle that ``verification`` checks
@@ -15,7 +14,6 @@ All functions are pure and hold no state.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -24,7 +22,6 @@ __all__ = [
     "laguerre_poly",
     "hyp1f1_terminating",
     "gamma_ratio_prefactor",
-    "bernoulli",
 ]
 
 
@@ -148,14 +145,3 @@ def gamma_ratio_prefactor(n: int, ell: float) -> float:
     for j in range(int(n)):
         out *= (1.5 + ell + j) / (1.0 + j)
     return out
-
-
-# B_2 and B_4, the two that enter the second-order Euler-Maclaurin forms
-_B2K = (Fraction(1, 6), Fraction(-1, 30))
-
-
-def bernoulli(k: int) -> Fraction:
-    """Exact rational Bernoulli number B_{2k} for k = 1, 2."""
-    if not 1 <= k <= len(_B2K):
-        raise DomainError(f"Bernoulli table covers k = 1..{len(_B2K)}, got {k}")
-    return _B2K[k - 1]

@@ -54,7 +54,7 @@ __all__ = [
     "radial_energy_from_quantization",
     "energy",
     "energy_over_xi",
-    "energy_special_case",
+    "energy_over_xi_special_case",
     "degeneracy",
     "degeneracy_sum",
     "radial_wavefunction",
@@ -253,8 +253,9 @@ _DROPPED_COUPLINGS = {"a2_only": ("a3",), "a3_only": ("a2",), "oscillator": ("a2
 SPECIAL_CASES = tuple(_DROPPED_COUPLINGS)
 
 
-def energy_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -> float:
-    """Energy xi [2(N + ell) + 3] for the reduced-coupling cases.
+def energy_over_xi_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -> float:
+    """Dimensionless level E/xi = 2(N + ell) + 3 of the reduced-coupling
+    cases; it forms no xi, so it holds wherever xi leaves the float range.
 
     Each case only checks that the couplings it drops are zero; the
     integer ell is then the floor reading ``angular_solution(p, s, m).ell_int``
@@ -280,7 +281,7 @@ def energy_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -
     if any(getattr(p, name) != 0.0 for name in dropped):
         raise UsageError(f"{case} case requires {' == '.join(dropped)} == 0")
     ell = angular_solution(p, s, m).ell_int
-    return p.xi * (2.0 * (N + ell) + 3.0)
+    return 2.0 * (N + ell) + 3.0
 
 
 def degeneracy(n_prime: int) -> int:

@@ -104,15 +104,20 @@ def _em_z_derivatives(alphas, mode, variant):
 
     The entries (floats, or arrays over one grid) are the evaluations every
     grid point needs, in the order a point-by-point evaluation makes them,
-    so a non-positive Z is reported at the first grid index and, within
-    it, at the alpha where that evaluation fails first.
+    so a Z <= 0 or a value past the float range is reported at the first
+    grid index and, within it, at the alpha where that evaluation fails
+    first.
     """
     bundles = [em_z_derivatives(mode, x, variant) for x in alphas]
-    if any(np.count_nonzero(z <= 0.0) for z, _, _ in bundles):  # np.any costs microseconds on a float
-        zs = np.stack([np.atleast_1d(z) for z, _, _ in bundles], axis=1)
-        i, k = divmod(int(np.argmax(zs <= 0.0)), len(alphas))
-        alpha = np.atleast_1d(alphas[k])[i]
-        raise DomainError(f"partition function {float(zs[i, k])} <= 0 at alpha={float(alpha)}", index=i)
+    # NaN fails every comparison, inf the bound; a float gives a bool, an array a mask
+    valid = [(z > 0.0) & (z < np.inf) & (abs(dz) < np.inf) & (abs(d2z) < np.inf) for z, dz, d2z in bundles]
+    if any(np.count_nonzero(np.logical_not(v)) for v in valid):  # np.any costs microseconds on a float
+        bad = ~np.stack([np.atleast_1d(v) for v in valid], axis=1)
+        i, k = divmod(int(np.argmax(bad)), len(alphas))
+        z, dz, d2z = (float(np.atleast_1d(value)[i]) for value in bundles[k])
+        alpha = float(np.atleast_1d(alphas[k])[i])
+        raise DomainError(f"the Euler-Maclaurin form needs Z > 0 and finite Z, dZ and d2Z, got Z={z}, dZ={dz}, "
+                          f"d2Z={d2z} at alpha={alpha}", index=i)
     return bundles
 
 

@@ -40,8 +40,6 @@ PINNED = {
     # c08: radial ODE residual, orthogonality, node counts, and the Laguerre
     # recurrence against the paper's Gamma-ratio times 1F1 form
     "check_wavefunctions": (1.0, (("tol", 1e-5), ("tol", 1e-8), ("tol", 1e-10))),
-    # c09: closed-form convergence integral against adaptive quadrature
-    "check_convergence_integral": (1e-10, ()),
     # c10: brute-force degeneracy equals (1 + n')^2 for n' <= 50
     "check_degeneracy": (0.0, ()),
 }

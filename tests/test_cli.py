@@ -360,12 +360,6 @@ def test_negative_n_max_flag_is_domain_error(capsys):
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=0.0, a3=1e+200, hbar=1.0\n"),
         (["spectrum", "--hbar", "1e-200", "--a2", "1"],
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=1.0, a3=0.0, hbar=1e-200\n"),
-        # xi of the case energies over- or underflows (printed nan, or was a raw ZeroDivisionError)
-        (["spectrum", "--case", "oscillator", "--a1", "1e300", "--mass", "1e-300", "--hbar", "1e300",
-          "--n-max", "0", "--ell-max", "0"],
-         "error: xi = hbar a1 / sqrt(2 M) leaves the float range at a1=1e+300, mass=1e-300, hbar=1e+300\n"),
-        (["spectrum", "--case", "oscillator", "--hbar", "1e-200", "--a1", "1e-200"],
-         "error: xi = hbar a1 / sqrt(2 M) leaves the float range at a1=1e-200, mass=1.0, hbar=1e-200\n"),
     ],
 )
 def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
@@ -373,6 +367,48 @@ def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # xi over- or underflows (these exited 3), or only hbar a1 does; a case
+        # level E/xi is a pure number, so no xi is formed
+        ["--a1", "1e300", "--mass", "1e-300", "--hbar", "1e300"],
+        ["--hbar", "1e-200", "--a1", "1e-200"],
+        ["--hbar", "1e200", "--a1", "1e200", "--mass", "1e300"],
+    ],
+)
+def test_case_levels_form_no_xi(capsys, argv):
+    assert main(["spectrum", "--case", "oscillator", "--n-max", "0", "--ell-max", "0", *argv]) == 0
+    assert capsys.readouterr() == ("N,s,m,E_over_xi\n0,0,0,5\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a power of alpha leaves the float range: a float division by one
+        # that underflowed to 0 was a raw ZeroDivisionError, and a partition
+        # Z alone would print -inf or inf
+        ["partition", "--alpha", "1e-107", "--methods", "em"],
+        ["partition", "--alpha", "1e-200", "--methods", "exact,em"],
+        ["partition", "--mode", "1d", "--alpha", "1e-107", "--methods", "em"],
+        ["partition", "--mode", "1d", "--alpha", "5e-324", "--methods", "em-paper"],
+        # the array evaluation printed rows of nan and exited 0
+        ["sweep", "--z-method", "em", "--alpha-min", "1e-200", "--alpha-max", "1e-199", "--points", "2"],
+        ["sweep", "--z-method", "em", "--mode", "1d", "--variant", "paper", "--alpha-min", "1e-300",
+         "--alpha-max", "1e-299", "--points", "2"],
+        # a one-point sweep, the CLI's thermo_point
+        ["sweep", "--z-method", "em", "--alpha-min", "1e-107", "--alpha-max", "1e-107", "--points", "1"],
+        ["sweep", "--z-method", "em", "--alpha-min", "1e-200", "--alpha-max", "1e-200", "--points", "1"],
+    ],
+)
+def test_em_value_past_the_float_range_is_domain_error(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*alpha(_bar)?=[^\n]*\n", captured.err), captured.err
+    assert "Error" not in captured.err
 
 
 @pytest.mark.parametrize(

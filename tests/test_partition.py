@@ -8,7 +8,6 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from ringosc import partition
 from ringosc.errors import ConvergenceError, DomainError, UsageError
@@ -21,7 +20,6 @@ from ringosc.partition import (
     VARIANT_DERIVED,
     VARIANT_PAPER,
     PartitionSpec,
-    convergence_integral,
     em_coefficients,
     em_z_derivatives,
     ladder_log_z_moments,
@@ -254,8 +252,10 @@ def em_z(mode, alpha, variant=VARIANT_DERIVED):
 
 def sympy_em_table(mode, order):
     """{power of alpha: Fraction} of the order-K Euler-Maclaurin formula,
-    assembled by sympy: integral, f(0)/2 and the Bernoulli corrections."""
-    sp = pytest.importorskip("sympy")
+    assembled by sympy: integral, f(0)/2 and the Bernoulli corrections.
+    It is the one derivation of the tables ``em_coefficients`` states."""
+    import sympy as sp
+
     x, a = sp.symbols("x alpha", positive=True)
     f = (1 + x) ** 2 * sp.exp(-2 * x / a) if mode == THREE_D else sp.exp(-x / a)
     z = sp.integrate(f, (x, 0, sp.oo)) + f.subs(x, 0) / 2
@@ -299,6 +299,24 @@ def test_em_coefficients_reject_a_variant_the_form_lacks(variant, mode, alpha):
         em_z_derivatives(mode, alpha, variant)
     with pytest.raises(UsageError):
         partition_em(PartitionSpec(mode, alpha, variant))
+
+
+@pytest.mark.parametrize(
+    "mode, variant, alpha",
+    [(THREE_D, VARIANT_DERIVED, 1e-107), (THREE_D, VARIANT_DERIVED, 1e-200),
+     (ONE_D, VARIANT_DERIVED, 1e-107), (ONE_D, VARIANT_PAPER, 5e-324)],
+)
+def test_partition_em_refuses_a_z_past_the_float_range(mode, variant, alpha):
+    # -1/(90 a^3) and 1/(12 a) leave the float range, or a^3 underflows to 0
+    with pytest.raises(DomainError, match=f"alpha_bar={alpha}"):
+        partition_em(PartitionSpec(mode, alpha, variant))
+
+
+def test_partition_em_evaluates_z_alone():
+    # dZ and d2Z divide by a^2 and a^3, which underflow to 0 here; Z does not
+    assert em_z(ONE_D, 1e-200, VARIANT_PAPER) == 1e200 / 12.0
+    with pytest.raises(DomainError, match="alpha_bar=1e-200"):
+        em_z_derivatives(ONE_D, 1e-200, VARIANT_PAPER)
 
 
 def test_em_coefficients_are_cached_and_read_only():
@@ -403,23 +421,3 @@ def test_em_1d_leading_linear_term():
     # that failure mode is the point of keeping it behind a switch
     assert em_z(ONE_D, 10.0, VARIANT_PAPER) / 10.0 == pytest.approx(1.0, rel=0.05)
     assert em_z(ONE_D, 100.0, VARIANT_PAPER) < 0.0
-
-
-# ----------------------------------------------------------- the integral
-
-
-def test_convergence_integral_value():
-    assert convergence_integral(1.0) == pytest.approx(1.25 * math.exp(-3.0), rel=1e-15)
-    assert convergence_integral(1.0) == pytest.approx(0.06223383545982993, rel=1e-14)  # frozen
-
-
-@pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
-def test_convergence_integral_vs_quadrature(u):
-    numeric, _ = quad(lambda x: (1.0 + x) ** 2 * math.exp(-u * (2.0 * x + 3.0)), 0.0, np.inf)
-    assert convergence_integral(u) == pytest.approx(numeric, rel=1e-10)
-
-
-def test_convergence_integral_suppressed_at_low_temperature():
-    assert convergence_integral(50.0) < 1e-60
-    values = [convergence_integral(u) for u in (1.0, 2.0, 5.0, 10.0)]
-    assert all(b < a for a, b in zip(values, values[1:]))

@@ -1,7 +1,6 @@
 """Unit tests for the special-function primitives."""
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from ringosc.errors import DomainError
 from ringosc.specfun import (
     _laguerre_frexp,
-    bernoulli,
     gamma_ratio_prefactor,
     hyp1f1_terminating,
     jacobi_poly,
@@ -272,33 +270,3 @@ def test_gamma_ratio_domain():
         gamma_ratio_prefactor(2, -1.5)
     with pytest.raises(DomainError):
         gamma_ratio_prefactor(-1, 0.0)
-
-
-# -------------------------------------------------------------- bernoulli
-
-
-def bernoulli_recurrence_oracle(limit):
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0 with B_0 = 1, exact rationals
-    table = [Fraction(1)]
-    for m in range(1, limit + 1):
-        acc = sum(Fraction(math.comb(m + 1, j)) * table[j] for j in range(m))
-        table.append(-acc / (m + 1))
-    return table
-
-
-def test_bernoulli_table_values():
-    assert bernoulli(1) == Fraction(1, 6)
-    assert bernoulli(2) == Fraction(-1, 30)
-
-
-def test_bernoulli_vs_recurrence():
-    table = bernoulli_recurrence_oracle(4)
-    for k in (1, 2):
-        assert bernoulli(k) == table[2 * k]
-
-
-# the table holds B_2 and B_4, all the second-order form uses
-@pytest.mark.parametrize("k", [0, 3, 9, -3])
-def test_bernoulli_out_of_range(k):
-    with pytest.raises(DomainError):
-        bernoulli(k)

@@ -18,7 +18,7 @@ from ringosc.spectrum import (
     degeneracy_sum,
     energy,
     energy_over_xi,
-    energy_special_case,
+    energy_over_xi_special_case,
     radial_energy_from_quantization,
     radial_wavefunction,
     total_wavefunction,
@@ -88,10 +88,10 @@ def test_angular_solution_rejects_bad_quantum_numbers():
         angular_solution(NATURAL, s=-1, m=0)
     with pytest.raises(DomainError):
         angular_solution(NATURAL, s=0, m=-2)
-    # energy_special_case leaves this check to angular_solution
+    # energy_over_xi_special_case leaves this check to angular_solution
     for s, m in ((-1, 0), (0, 1.5)):
         with pytest.raises(DomainError, match="^s and m must be non-negative integers$"):
-            energy_special_case(NATURAL, "oscillator", 0, s, m)
+            energy_over_xi_special_case(NATURAL, "oscillator", 0, s, m)
 
 
 # ----------------------------------------------------------------- energy
@@ -134,15 +134,15 @@ def test_energy_domain():
 
 
 def test_oscillator_case_ground():
-    # Lambda = 1 so ell = [Lambda + s] = 1 even at s = m = 0: E = 5 xi
-    assert energy_special_case(UNIT_XI, "oscillator", N=0, s=0, m=0) == pytest.approx(5.0, rel=1e-14)
+    # Lambda = 1 so ell = [Lambda + s] = 1 even at s = m = 0: E/xi = 5
+    assert energy_over_xi_special_case(UNIT_XI, "oscillator", N=0, s=0, m=0) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_a2_only_continuous_at_zero_coupling():
     eps = PotentialParams(a1=math.sqrt(2.0), a2=1e-9)
     for N, s, m in [(0, 0, 0), (2, 1, 1)]:
-        with_eps = energy_special_case(eps, "a2_only", N, s, m)
-        osc = energy_special_case(UNIT_XI, "oscillator", N, s, m)
+        with_eps = energy_over_xi_special_case(eps, "a2_only", N, s, m)
+        osc = energy_over_xi_special_case(UNIT_XI, "oscillator", N, s, m)
         assert with_eps == pytest.approx(osc, rel=1e-12)
 
 
@@ -188,14 +188,14 @@ def test_angular_constant_at_large_a3_vs_mpmath(a3, s, m):
 
 def test_special_case_param_mismatch():
     with pytest.raises(UsageError, match="^a2_only case requires a3 == 0$"):
-        energy_special_case(PotentialParams(a1=1.0, a3=1.0), "a2_only", 0, 0, 0)
+        energy_over_xi_special_case(PotentialParams(a1=1.0, a3=1.0), "a2_only", 0, 0, 0)
     with pytest.raises(UsageError, match="^a3_only case requires a2 == 0$"):
-        energy_special_case(PotentialParams(a1=1.0, a2=1.0), "a3_only", 0, 0, 0)
+        energy_over_xi_special_case(PotentialParams(a1=1.0, a2=1.0), "a3_only", 0, 0, 0)
     for p in (PotentialParams(a1=1.0, a2=1.0), PotentialParams(a1=1.0, a3=1.0)):
         with pytest.raises(UsageError, match="^oscillator case requires a2 == a3 == 0$"):
-            energy_special_case(p, "oscillator", 0, 0, 0)
+            energy_over_xi_special_case(p, "oscillator", 0, 0, 0)
     with pytest.raises(UsageError):
-        energy_special_case(NATURAL, "bogus", 0, 0, 0)
+        energy_over_xi_special_case(NATURAL, "bogus", 0, 0, 0)
 
 
 # ------------------------------------------------------------- degeneracy

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ringosc.errors import DomainError, SweepError, UsageError
-from ringosc.partition import ALPHA_MAX, ONE_D, THREE_D, VARIANT_PAPER, em_z_derivatives
+from ringosc.partition import ALPHA_MAX, ONE_D, THREE_D, VARIANT_DERIVED, VARIANT_PAPER, em_z_derivatives
 from ringosc.thermo import (
     SweepSpec,
     ThermoPoint,
@@ -319,6 +319,25 @@ def test_sweep_error_carries_index():
     with pytest.raises(SweepError) as excinfo:
         sweep(spec)
     assert excinfo.value.index == 2
+
+
+@pytest.mark.parametrize(
+    "mode, variant, alpha",
+    [(THREE_D, VARIANT_DERIVED, 1e-107), (THREE_D, VARIANT_DERIVED, 1e-200),
+     (ONE_D, VARIANT_DERIVED, 1e-200), (ONE_D, VARIANT_PAPER, 1e-300)],
+)
+@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+def test_em_value_past_the_float_range_is_refused(mode, variant, alpha, scheme):
+    # a power of alpha leaves the float range: the float division by one that
+    # underflowed to 0 raised ZeroDivisionError, and a sweep printed Z, U, S
+    # or C as NaN; both now refuse at the first grid index
+    spec = SweepSpec((alpha, 1.0), mode=mode, z_method="em", derivative_scheme=scheme, variant=variant)
+    with pytest.raises(SweepError) as excinfo:
+        sweep(spec)
+    assert excinfo.value.index == 0
+    if variant == VARIANT_DERIVED:
+        with pytest.raises(DomainError):
+            thermo_point(alpha, mode, "em")
 
 
 def test_sweep_spec_validation():
