@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from . import verification
-from .errors import ConvergenceError, DomainError, SweepError, UsageError
+from .errors import ConvergenceError, DomainError, UsageError
 from .partition import (
     MODES,
     ONE_D,
@@ -274,14 +274,13 @@ def cmd_spectrum(manifest: RunManifest) -> int:
 
 
 def _partition_value(method: str, manifest: RunManifest, alpha: float):
-    spec = PartitionSpec(manifest.mode, alpha)
     if method == "direct":
-        return partition_direct(spec)
+        return partition_direct(PartitionSpec(manifest.mode, alpha))
     if method == "em":
-        return partition_em(spec)
+        return partition_em(manifest.mode, alpha)
     if method == "em-paper":
         # the alternate form exists for the 1d ladder only
-        return partition_em(dataclasses.replace(spec, variant=VARIANT_PAPER))
+        return partition_em(manifest.mode, alpha, VARIANT_PAPER)
     # 'exact', the geometric closed form
     return partition_closed_form(manifest.mode, alpha)
 
@@ -427,7 +426,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ConvergenceError, SweepError) as exc:
+    except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (OverflowError, ZeroDivisionError) as exc:  # inputs inside the checked domain, past a float's range

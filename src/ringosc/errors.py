@@ -1,16 +1,12 @@
-"""Exception types shared across the package."""
+"""The four exception types shared across the package.
+
+The command line exits 2 on a ``UsageError`` and 3 on a ``DomainError``
+(a ``BranchError`` too) or a ``ConvergenceError``.
+"""
 
 
 class DomainError(ValueError):
-    """Inputs lie outside the mathematical domain of an operation.
-
-    ``index`` is the position of the offending element when the operation
-    ran over an array of inputs, else None.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """Inputs lie outside the mathematical domain of an operation."""
 
 
 class BranchError(DomainError):
@@ -24,10 +20,3 @@ class UsageError(ValueError):
 class ConvergenceError(RuntimeError):
     """A truncated sum cannot certify the requested tail bound."""
 
-
-class SweepError(RuntimeError):
-    """A temperature sweep failed at one grid point."""
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index

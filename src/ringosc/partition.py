@@ -85,33 +85,25 @@ def _check_mode(mode: str) -> None:
 
 def _check_alpha(alpha_bar) -> None:
     """alpha_bar, a float or an array of them, must lie in (0, ALPHA_MAX];
-    for an array the error carries the index of the first bad element."""
+    for an array the error names the first bad element."""
     if isinstance(alpha_bar, np.ndarray):
         bad = ~((alpha_bar > 0.0) & (alpha_bar <= ALPHA_MAX))
         if bad.any():
-            i = int(np.argmax(bad))
-            raise DomainError(f"alpha_bar must be > 0 and at most {ALPHA_MAX:g}, got {alpha_bar[i]}", index=i)
+            raise DomainError(f"alpha_bar must be > 0 and at most {ALPHA_MAX:g}, got {alpha_bar[np.argmax(bad)]}")
     elif not 0.0 < alpha_bar <= ALPHA_MAX:
         raise DomainError(f"alpha_bar must be > 0 and at most {ALPHA_MAX:g}, got {alpha_bar}")
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How to evaluate Z: ladder, temperature, variant.
-
-    ``variant`` only matters for the 1d Euler-Maclaurin form (see
-    ``em_coefficients``).
-    """
+    """The ladder and temperature of a direct sum."""
 
     mode: str
     alpha_bar: float
-    variant: str = VARIANT_DERIVED
 
     def __post_init__(self):
         _check_mode(self.mode)
         _check_alpha(self.alpha_bar)
-        if self.variant not in VARIANTS:
-            raise UsageError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -337,13 +329,15 @@ def em_z_derivatives(mode: str, alpha_bar, variant: str = VARIANT_DERIVED):
     return tuple(_em_evaluate(alpha_bar, *_em_terms(mode, variant)))
 
 
-def partition_em(spec: PartitionSpec) -> PartitionValue:
+def partition_em(mode: str, alpha_bar: float, variant: str = VARIANT_DERIVED) -> PartitionValue:
     """Euler-Maclaurin partition function, ``em_z_derivatives(mode,
     alpha_bar, variant)[0]``; a ``DomainError`` where it is not a finite
-    float."""
-    _check_alpha(spec.alpha_bar)
-    top, polys = _em_terms(spec.mode, spec.variant)
-    (z,) = _em_evaluate(spec.alpha_bar, top, polys[:1])
+    float.  Unlike the thermal route it takes any alpha_bar in (0,
+    ALPHA_MAX], so it can be compared with the other routes anywhere."""
+    _check_mode(mode)
+    _check_alpha(alpha_bar)
+    top, polys = _em_terms(mode, variant)
+    (z,) = _em_evaluate(alpha_bar, top, polys[:1])
     if not math.isfinite(z):
-        raise DomainError(f"the Euler-Maclaurin Z is {z} at alpha_bar={spec.alpha_bar}, past the float range")
+        raise DomainError(f"the Euler-Maclaurin Z is {z} at alpha_bar={alpha_bar}, past the float range")
     return PartitionValue(Z=z, method="euler_maclaurin")

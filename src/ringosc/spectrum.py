@@ -92,7 +92,16 @@ class PotentialParams:
     def xi(self) -> float:
         """Level spacing scale sqrt(hbar^2 a1^2 / (2 M)); a DomainError where
         it under- or overflows, since the energies divide by it or scale with it."""
-        xi = self.hbar * self.a1 / math.sqrt(2.0 * self.mass)
+        # the mantissas and the exponents apart (that of M made even, so its
+        # square root is exact): where hbar a1, 2 M and xi are normal floats
+        # this is the quotient hbar a1 / sqrt(2 M) bit for bit, and where
+        # hbar a1 or 2 M alone leaves that range xi is still formed exactly
+        (h, eh), (a, ea), (m, em) = map(math.frexp, (self.hbar, self.a1, self.mass))
+        m, em = (2.0 * m, em - 1) if em % 2 else (m, em)
+        try:
+            xi = math.ldexp(h * a / math.sqrt(2.0 * m), eh + ea - em // 2)
+        except OverflowError:
+            xi = math.inf
         if not (math.isfinite(xi) and xi > 0.0):
             raise DomainError(
                 f"xi = hbar a1 / sqrt(2 M) leaves the float range at a1={self.a1}, mass={self.mass}, hbar={self.hbar}"

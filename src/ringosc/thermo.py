@@ -18,7 +18,10 @@ definitions and double as wiring checks.  Two providers of ln Z:
   reference for it;
 * ``em`` uses the second-order Euler-Maclaurin form
   (``partition.em_z_derivatives``), whose derivatives are those of its
-  table of rational coefficients.
+  table of rational coefficients.  The form is a high-temperature
+  approximant, so it is taken only inside ``EM_ALPHA_RANGE``, where its Z
+  and C are positive; a point, and a sweep's grid by its two ends, are
+  checked against that range before any work, so no sweep fails partway.
 
 Derivatives are analytic by default; a sweep can take central
 differences on ln Z instead, with the fixed relative step ``FD_STEP_REL``.
@@ -41,11 +44,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SweepError, UsageError
+from .errors import DomainError, UsageError
 from .partition import (
     ALPHA_MAX,
+    ONE_D,
     THREE_D,
     VARIANT_DERIVED,
+    VARIANT_PAPER,
     _check_alpha,
     _check_mode,
     em_coefficients,
@@ -64,6 +69,7 @@ __all__ = [
     "continuity_scan",
     "Z_METHODS",
     "SPACINGS",
+    "EM_ALPHA_RANGE",
     "JUMP_THRESHOLD",
 ]
 
@@ -73,6 +79,15 @@ DERIVATIVE_SCHEMES = ("analytic", "central_difference")
 FD_STEP_REL = 1e-5  # relative step of the central differences
 JUMP_THRESHOLD = 10.0  # the slope ratio above which the jump scan flags a step
 LEAST_FLOAT = 5e-324  # the least positive (subnormal) float
+# the alpha_bar range of each Euler-Maclaurin form, keyed by (mode, variant):
+# each end is a positive root of the numerator of the form's C, rounded
+# inward to 4 digits, so that C > 0 inside; Z > 0 there too (the 'paper'
+# form's Z has its root at 73.73)
+EM_ALPHA_RANGE = {
+    (THREE_D, VARIANT_DERIVED): (0.3632, ALPHA_MAX),  # root 0.363129
+    (ONE_D, VARIANT_DERIVED): (0.2582, ALPHA_MAX),  # root 0.258100
+    (ONE_D, VARIANT_PAPER): (0.1216, 26.75),  # roots 0.121592 and 26.7559
+}
 
 
 class ThermoPoint(NamedTuple):
@@ -99,26 +114,11 @@ def _check_options(mode, z_method, derivative_scheme, variant):
         raise UsageError(f"z_method 'direct' takes only the variant 'derived', got {variant!r}")
 
 
-def _em_z_derivatives(alphas, mode, variant):
-    """(Z, dZ, d2Z) of the Euler-Maclaurin form at each entry of ``alphas``.
-
-    The entries (floats, or arrays over one grid) are the evaluations every
-    grid point needs, in the order a point-by-point evaluation makes them,
-    so a Z <= 0 or a value past the float range is reported at the first
-    grid index and, within it, at the alpha where that evaluation fails
-    first.
-    """
-    bundles = [em_z_derivatives(mode, x, variant) for x in alphas]
-    # NaN fails every comparison, inf the bound; a float gives a bool, an array a mask
-    valid = [(z > 0.0) & (z < np.inf) & (abs(dz) < np.inf) & (abs(d2z) < np.inf) for z, dz, d2z in bundles]
-    if any(np.count_nonzero(np.logical_not(v)) for v in valid):  # np.any costs microseconds on a float
-        bad = ~np.stack([np.atleast_1d(v) for v in valid], axis=1)
-        i, k = divmod(int(np.argmax(bad)), len(alphas))
-        z, dz, d2z = (float(np.atleast_1d(value)[i]) for value in bundles[k])
-        alpha = float(np.atleast_1d(alphas[k])[i])
-        raise DomainError(f"the Euler-Maclaurin form needs Z > 0 and finite Z, dZ and d2Z, got Z={z}, dZ={dz}, "
-                          f"d2Z={d2z} at alpha={alpha}", index=i)
-    return bundles
+def _check_em_alpha(mode, variant, alpha_bar):
+    lo, hi = EM_ALPHA_RANGE[mode, variant]
+    if not lo <= alpha_bar <= hi:
+        raise DomainError(f"the {mode} {variant!r} Euler-Maclaurin form takes alpha_bar in [{lo:g}, {hi:g}], "
+                          f"where its C is positive; got alpha_bar={alpha_bar}")
 
 
 def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
@@ -130,7 +130,7 @@ def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
             # as it is; below alpha ~ 1.57e-162 it keeps a * a above 0, so C is 0, not 0/0
             z, c = np.exp(log_z), var / (a * a + LEAST_FLOAT)
         else:
-            ((z, dz, d2z),) = _em_z_derivatives((a,), mode, variant)
+            z, dz, d2z = em_z_derivatives(mode, a, variant)
             g1 = dz / z
             g2 = d2z / z - g1 * g1
             log_z, u, c = np.log(z), a * a * g1, 2.0 * a * g1 + a * a * g2
@@ -140,7 +140,7 @@ def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
         if z_method == "direct":
             g_plus, log_z, g_minus = (ladder_log_z_moments(mode, x)[0] for x in shifted)
         else:
-            g_plus, log_z, g_minus = (np.log(z) for z, _, _ in _em_z_derivatives(shifted, mode, variant))
+            g_plus, log_z, g_minus = (np.log(em_z_derivatives(mode, x, variant)[0]) for x in shifted)
         g1 = (g_plus - g_minus) / (2.0 * eta)
         g2 = (g_plus - 2.0 * log_z + g_minus) / (eta * eta)
         z, u, c = np.exp(log_z), a * a * g1, 2.0 * a * g1 + a * a * g2
@@ -151,6 +151,8 @@ def thermo_point(alpha_bar: float, mode: str = THREE_D, z_method: str = "direct"
     """Z and analytic (F, U, S, C) at one temperature; ``sweep`` takes the other schemes and variants."""
     _check_options(mode, z_method, "analytic", VARIANT_DERIVED)
     a = float(alpha_bar)
+    if z_method == "em":
+        _check_em_alpha(mode, VARIANT_DERIVED, a)
     values = _thermo_arrays(a, mode, z_method, "analytic", VARIANT_DERIVED)
     return ThermoPoint(a, *map(float, values), z_method)
 
@@ -172,6 +174,14 @@ class SweepSpec:
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise DomainError("alpha grid must be strictly increasing")
         _check_options(self.mode, self.z_method, self.derivative_scheme, self.variant)
+        # the grid increases, so its ends bound every alpha the kernel evaluates
+        ends = alphas[:1] + alphas[-1:]
+        if self.z_method == "em":
+            for a in ends:
+                _check_em_alpha(self.mode, self.variant, a)
+        if self.derivative_scheme == "central_difference" and ends and ends[-1] + FD_STEP_REL * ends[-1] > ALPHA_MAX:
+            raise DomainError(f"central differences evaluate ln Z at alpha_bar (1 + {FD_STEP_REL:g}), at most "
+                              f"{ALPHA_MAX:g}; got alpha_bar={ends[-1]}")
 
     @staticmethod
     def from_grid(alpha_min, alpha_max, points, spacing="log", **kwargs) -> "SweepSpec":
@@ -212,15 +222,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
     consecutive pair), matching what a plotted curve can show.  A pair
     whose two values are both exactly 0 is not judged by the strict flags:
     at low alpha the Boltzmann factor underflows and F, U and S are exact
-    zeros at several grid points.  A failing point aborts the sweep and
-    reports its grid index.
+    zeros at several grid points.
     """
-    a = np.array(spec.alphas)
-    try:
-        arrays = _thermo_arrays(a, spec.mode, spec.z_method, spec.derivative_scheme, spec.variant)
-    except DomainError as exc:
-        i = exc.index
-        raise SweepError(f"sweep failed at grid index {i} (alpha={spec.alphas[i]}): {exc}", index=i) from exc
+    arrays = _thermo_arrays(np.array(spec.alphas), spec.mode, spec.z_method, spec.derivative_scheme, spec.variant)
     _, f, u, s, c = arrays
     slack = 1e-12
     monotonicity = {

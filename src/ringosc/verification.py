@@ -103,9 +103,9 @@ def check_em3d_rational() -> CheckResult:
 def check_em3d_vs_direct() -> CheckResult:
     parts = []
     for alpha, tol in ((10.0, 1e-3), (50.0, 1e-4)):
-        spec = partition.PartitionSpec(partition.THREE_D, alpha)
-        direct = partition.partition_direct(spec).Z
-        parts.append((f"alpha={alpha:g} rel", abs(partition.partition_em(spec).Z - direct) / direct, tol))
+        direct = partition.partition_direct(partition.PartitionSpec(partition.THREE_D, alpha)).Z
+        em = partition.partition_em(partition.THREE_D, alpha).Z
+        parts.append((f"alpha={alpha:g} rel", abs(em - direct) / direct, tol))
     return _within("3d closed form vs certified direct sum", parts)
 
 
@@ -114,7 +114,7 @@ def check_em1d_vs_exact() -> CheckResult:
     worst = 0.0
     for alpha in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
         exact = partition.partition_closed_form(partition.ONE_D, alpha).Z
-        derived = partition.partition_em(partition.PartitionSpec(partition.ONE_D, alpha)).Z
+        derived = partition.partition_em(partition.ONE_D, alpha).Z
         worst = max(worst, abs(derived - exact) / exact)
     return CheckResult(
         "1d derived closed form vs exact geometric form",
@@ -126,8 +126,8 @@ def check_em1d_vs_exact() -> CheckResult:
 
 
 def info_em1d_variant_gap() -> CheckResult:
-    derived = partition.partition_em(partition.PartitionSpec(partition.ONE_D, 1.0)).Z
-    alt = partition.partition_em(partition.PartitionSpec(partition.ONE_D, 1.0, variant=partition.VARIANT_PAPER)).Z
+    derived = partition.partition_em(partition.ONE_D, 1.0).Z
+    alt = partition.partition_em(partition.ONE_D, 1.0, partition.VARIANT_PAPER).Z
     gap = abs(alt - derived) / derived
     return CheckResult(
         "1d closed-form variant gap (informational)",

@@ -360,6 +360,17 @@ def test_negative_n_max_flag_is_domain_error(capsys):
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=0.0, a3=1e+200, hbar=1.0\n"),
         (["spectrum", "--hbar", "1e-200", "--a2", "1"],
          "error: 2 M a^2 / hbar^2 overflows a float at mass=1.0, a2=1.0, a3=0.0, hbar=1e-200\n"),
+        # outside the range where an Euler-Maclaurin form's C is positive, refused before any
+        # point runs (the first printed C = -18.24 at alpha 0.2 with exit 0)
+        (["sweep", "--z-method", "em", "--alpha-min", "0.2", "--alpha-max", "1", "--points", "5"],
+         "error: the 3d 'derived' Euler-Maclaurin form takes alpha_bar in [0.3632, 1e+100], where its C is "
+         "positive; got alpha_bar=0.2\n"),
+        (["sweep", "--mode", "1d", "--z-method", "em", "--alpha-min", "0.25"],
+         "error: the 1d 'derived' Euler-Maclaurin form takes alpha_bar in [0.2582, 1e+100], where its C is "
+         "positive; got alpha_bar=0.25\n"),
+        (["sweep", "--mode", "1d", "--z-method", "em", "--variant", "paper", "--alpha-max", "70"],
+         "error: the 1d 'paper' Euler-Maclaurin form takes alpha_bar in [0.1216, 26.75], where its C is "
+         "positive; got alpha_bar=70.0\n"),
     ],
 )
 def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
@@ -513,5 +524,5 @@ def test_verify_detects_perturbed_closed_form(monkeypatch):
     # a small multiplicative error in the closed form must trip the
     # closed-form-vs-direct-sum comparison
     em = partition.partition_em
-    monkeypatch.setattr(partition, "partition_em", lambda spec: partition.PartitionValue(1.001 * em(spec).Z, "em"))
+    monkeypatch.setattr(partition, "partition_em", lambda *args: partition.PartitionValue(1.001 * em(*args).Z, "em"))
     assert not verification.check_em3d_vs_direct().passed

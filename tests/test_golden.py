@@ -46,7 +46,9 @@ CASES = {
     # 100 points is the smallest grid that also runs the jump scan
     "sweep_f4": ["sweep", "--figure", "f4", "--points", "100"],
     "sweep_f5": ["sweep", "--figure", "f5", "--points", "40"],
+    # alpha 0.3 lies below the range of the 3d Euler-Maclaurin form: exit 3
     "sweep_em": ["sweep", "--z-method", "em", "--alpha-min", "0.3", "--points", "40"],
+    "sweep_em_inside": ["sweep", "--z-method", "em", "--alpha-min", "0.5", "--points", "40"],
     "sweep_json": ["sweep", "--mode", "1d", "--z-method", "em", "--format", "json", "--alpha-min", "1",
                    "--alpha-max", "1000", "--points", "40"],
     "verify": ["verify"],

@@ -80,7 +80,7 @@ def test_direct_cutoff_too_small(monkeypatch):
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
 def test_closed_forms_are_finite_up_to_alpha_max(mode):
     grid = np.geomspace(1e-3, ALPHA_MAX, 300).tolist()
-    assert all(math.isfinite(partition_em(PartitionSpec(mode, a)).Z) for a in grid)
+    assert all(math.isfinite(partition_em(mode, a).Z) for a in grid)
     assert all(math.isfinite(v) for a in grid for v in ladder_log_z_moments(mode, a))
     assert all(math.isfinite(partition_closed_form(mode, a).Z) for a in grid)
     for bad in (ALPHA_MAX * 1.0000001, 1e120):
@@ -247,7 +247,7 @@ def test_kernels_reject_a_bad_array_element(kernel, bad):
 
 
 def em_z(mode, alpha, variant=VARIANT_DERIVED):
-    return partition_em(PartitionSpec(mode, alpha, variant)).Z
+    return partition_em(mode, alpha, variant).Z
 
 
 def sympy_em_table(mode, order):
@@ -298,7 +298,7 @@ def test_em_coefficients_reject_a_variant_the_form_lacks(variant, mode, alpha):
     with pytest.raises(UsageError):
         em_z_derivatives(mode, alpha, variant)
     with pytest.raises(UsageError):
-        partition_em(PartitionSpec(mode, alpha, variant))
+        partition_em(mode, alpha, variant)
 
 
 @pytest.mark.parametrize(
@@ -309,7 +309,7 @@ def test_em_coefficients_reject_a_variant_the_form_lacks(variant, mode, alpha):
 def test_partition_em_refuses_a_z_past_the_float_range(mode, variant, alpha):
     # -1/(90 a^3) and 1/(12 a) leave the float range, or a^3 underflows to 0
     with pytest.raises(DomainError, match=f"alpha_bar={alpha}"):
-        partition_em(PartitionSpec(mode, alpha, variant))
+        partition_em(mode, alpha, variant)
 
 
 def test_partition_em_evaluates_z_alone():
@@ -351,7 +351,7 @@ def test_em_any_order_within_summation_bound(mode):
     for a in np.geomspace(0.2, 1e8, 60).tolist():
         want = sum(c * Fraction(a) ** k for k, c in table.items())
         bound = (len(table) + 2) * 2.0 ** -53 * sum(abs(float(c) * a ** k) for k, c in table.items())
-        got = partition_em(PartitionSpec(mode, a)).Z
+        got = partition_em(mode, a).Z
         assert got == em_z(mode, a)
         assert abs(Fraction(got) - want) <= bound, a
 

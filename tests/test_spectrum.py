@@ -46,6 +46,30 @@ def test_xi_scale():
     assert UNIT_XI.xi == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "a1, hbar, mass",
+    [(1e200, 1e200, 1e300), (1e-200, 1e-200, 1e-300), (1e300, 1.0, 1.7e308), (3e-170, 2e-160, 5e-324),
+     (1e-160, 1e-160, 1e-300)],
+)
+def test_energy_where_hbar_a1_or_2m_alone_leaves_the_float_range(a1, hbar, mass):
+    # hbar a1 or 2 M over- or underflowed, so xi was refused although it is a
+    # normal float; the last hbar a1 is subnormal, which cost xi 4 digits
+    p = PotentialParams(a1=a1, hbar=hbar, mass=mass)
+    with mp.workdps(40):
+        xi = mp.mpf(hbar) * mp.mpf(a1) / mp.sqrt(2 * mp.mpf(mass))
+    assert abs(p.xi - xi) <= 2 * math.ulp(p.xi)
+    assert energy(p, 1, 2) == 11.0 * p.xi
+
+
+def test_xi_keeps_its_bits_and_refuses_only_outside_the_float_range():
+    rng = np.random.default_rng(3)
+    for a1, hbar, mass in 10.0 ** rng.uniform(-100.0, 100.0, (500, 3)):
+        assert PotentialParams(a1=a1, hbar=hbar, mass=mass).xi == hbar * a1 / math.sqrt(2.0 * mass)
+    for a1, hbar, mass in ((1e300, 1e300, 1.0), (1e-300, 1e-300, 1e300), (1e-300, 1e-200, 1e-300)):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            energy(PotentialParams(a1=a1, hbar=hbar, mass=mass), 0, 0)
+
+
 # ---------------------------------------------------------------- angular
 
 

@@ -6,9 +6,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ringosc.errors import DomainError, SweepError, UsageError
-from ringosc.partition import ALPHA_MAX, ONE_D, THREE_D, VARIANT_DERIVED, VARIANT_PAPER, em_z_derivatives
+from ringosc.errors import DomainError, UsageError
+from ringosc.partition import (
+    ALPHA_MAX,
+    ONE_D,
+    THREE_D,
+    VARIANT_DERIVED,
+    VARIANT_PAPER,
+    em_coefficients,
+    em_z_derivatives,
+)
 from ringosc.thermo import (
+    EM_ALPHA_RANGE,
+    FD_STEP_REL,
     SweepSpec,
     ThermoPoint,
     continuity_scan,
@@ -160,10 +170,13 @@ def loop_point(a, mode, z_method, scheme, lib, fd_step_rel=1e-5):
     return ThermoPoint(a, float(z), float(-a * lz), float(u), float(lz + u / a), float(c), z_method)
 
 
+# the larger lower end of the two derived Euler-Maclaurin ranges, the 3d one
+EM_ALPHA_MIN = EM_ALPHA_RANGE[THREE_D, VARIANT_DERIVED][0]
+
+
 def reference_grid(z_method):
-    # the 3d Euler-Maclaurin Z is <= 0 below alpha ~ 0.16, where sweeps abort
     grid = np.geomspace(1e-3, 1e8, 2000)
-    return tuple((grid[grid >= 0.2] if z_method == "em" else grid).tolist())
+    return tuple((grid[grid >= EM_ALPHA_MIN] if z_method == "em" else grid).tolist())
 
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
@@ -202,9 +215,9 @@ SWEEP_CASES = {
     "direct_3d_underflow": dict(alphas=tuple(np.geomspace(0.001, 0.01, 8).tolist())),
     # C from second differences is noisy above alpha ~ 6, so its flag is False
     "central_3d": dict(alphas=tuple(np.geomspace(0.25, 31.0, 40).tolist()), derivative_scheme="central_difference"),
-    # the alternate 1d tail bends U and S down towards alpha ~ 70
-    "em_1d_paper": dict(alphas=tuple(np.linspace(0.5, 70.0, 300).tolist()), mode=ONE_D, z_method="em",
-                        variant=VARIANT_PAPER),
+    # the alternate 1d tail gives C a maximum at alpha ~ 2.93, so its C flag is False
+    "em_1d_paper": dict(alphas=tuple(np.linspace(0.5, EM_ALPHA_RANGE[ONE_D, VARIANT_PAPER][1], 300).tolist()),
+                        mode=ONE_D, z_method="em", variant=VARIANT_PAPER),
 }
 
 
@@ -311,14 +324,13 @@ def test_specific_heat_bounded_by_limits():
             assert pt.C_bar <= cap + 1e-2
 
 
-def test_sweep_error_carries_index():
-    # the alternate 1d closed form goes negative at large alpha, so the
-    # sweep must abort there and report where
+def test_em_sweep_past_its_range_is_refused_before_it_runs():
+    # the alternate 1d closed form turns C negative past alpha ~ 26.76 and Z
+    # past ~ 73.7: the grid is refused by its last alpha, before any point runs
     grid = (10.0, 50.0, 100.0)
-    spec = SweepSpec(alphas=grid, mode=ONE_D, z_method="em", variant=VARIANT_PAPER)
-    with pytest.raises(SweepError) as excinfo:
-        sweep(spec)
-    assert excinfo.value.index == 2
+    with pytest.raises(DomainError, match=r"\[0.1216, 26.75\].*got alpha_bar=100.0$") as excinfo:
+        SweepSpec(alphas=grid, mode=ONE_D, z_method="em", variant=VARIANT_PAPER)
+    assert type(excinfo.value) is DomainError
 
 
 @pytest.mark.parametrize(
@@ -330,14 +342,65 @@ def test_sweep_error_carries_index():
 def test_em_value_past_the_float_range_is_refused(mode, variant, alpha, scheme):
     # a power of alpha leaves the float range: the float division by one that
     # underflowed to 0 raised ZeroDivisionError, and a sweep printed Z, U, S
-    # or C as NaN; both now refuse at the first grid index
-    spec = SweepSpec((alpha, 1.0), mode=mode, z_method="em", derivative_scheme=scheme, variant=variant)
-    with pytest.raises(SweepError) as excinfo:
-        sweep(spec)
-    assert excinfo.value.index == 0
+    # or C as NaN; both now lie below the form's range and are refused
+    with pytest.raises(DomainError, match=f"got alpha_bar={alpha}$"):
+        SweepSpec((alpha, 1.0), mode=mode, z_method="em", derivative_scheme=scheme, variant=variant)
     if variant == VARIANT_DERIVED:
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"got alpha_bar={alpha}$"):
             thermo_point(alpha, mode, "em")
+
+
+def em_polynomials(mode, variant):
+    """(Z, numerator of C) of an Euler-Maclaurin table as sympy polynomials
+    in alpha: both Laurent polynomials times the power of alpha that clears
+    their denominators, which keeps their sign at alpha > 0."""
+    import sympy as sp
+
+    a = sp.Symbol("alpha", positive=True)
+    table = em_coefficients(mode, variant)
+    z = sum(sp.Rational(c.numerator, c.denominator) * a ** k for k, c in table.items())
+    z1, z2 = sp.diff(z, a), sp.diff(z, a, 2)
+    # C = (2 a Z' Z + a^2 (Z'' Z - Z'^2)) / Z^2
+    c_num = 2 * a * z1 * z + a ** 2 * (z2 * z - z1 * z1)
+    shift = -min(table)
+    return sp.Poly(sp.expand(z * a ** shift), a), sp.Poly(sp.expand(c_num * a ** (2 * shift)), a)
+
+
+@pytest.mark.parametrize("mode, variant", list(EM_ALPHA_RANGE))
+def test_em_alpha_range_ends_are_the_roots_of_c_rounded_inward(mode, variant):
+    import sympy as sp
+
+    z, c_num = em_polynomials(mode, variant)
+    top = EM_ALPHA_RANGE[mode, variant][1]
+    lo, hi = (sp.Rational(repr(end)) for end in EM_ALPHA_RANGE[mode, variant])
+    # no root of Z or of the numerator of C in [lo, hi], and both positive at
+    # lo: Z > 0 and C > 0 on the whole range
+    assert z.count_roots(lo, hi) == 0 and z.eval(lo) > 0
+    assert c_num.count_roots(lo, hi) == 0 and c_num.eval(lo) > 0
+    # each finite end lies within one unit of its 4th digit of a root, and C < 0 just outside
+    ends = [(lo, -1)] + ([] if top == ALPHA_MAX else [(hi, 1)])
+    for end, side in ends:
+        step = sp.Integer(10) ** (sp.floor(sp.log(end, 10)) - 3)
+        outside = end + side * step
+        assert c_num.count_roots(*sorted((end, outside))) == 1, (end, outside)
+        assert c_num.eval(outside) < 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode, variant", list(EM_ALPHA_RANGE))
+@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+def test_em_sweep_over_its_whole_range_is_physical(mode, variant, scheme):
+    lo, hi = EM_ALPHA_RANGE[mode, variant]
+    if scheme == "central_difference":
+        hi = min(hi, ALPHA_MAX / (1.0 + 2.0 * FD_STEP_REL))  # its step must stay at or below ALPHA_MAX
+    result = sweep(SweepSpec(tuple(np.geomspace(lo, hi, 20001).tolist()), mode=mode, z_method="em",
+                             derivative_scheme=scheme, variant=variant))
+    values = np.array([pt[:6] for pt in result.points])
+    assert np.isfinite(values).all()
+    z, c = values[:, 1], values[:, 5]
+    assert (z > 0.0).all() and (c >= 0.0).all(), (z.min(), c.min())
+    if variant == VARIANT_DERIVED and scheme == "analytic":
+        assert all(result.monotonicity.values()), result.monotonicity
 
 
 def test_sweep_spec_validation():
@@ -351,6 +414,10 @@ def test_sweep_spec_validation():
         SweepSpec.from_grid(1.0, 2.0, 5, "cubic")
     with pytest.raises(UsageError):
         SweepSpec.from_grid(1.0, 1.0, 1, "cubic")  # checked on a one-point grid too
+    # a central difference steps past the last alpha, which must leave it in range
+    for z_method in ("direct", "em"):
+        with pytest.raises(DomainError, match="got alpha_bar=1e\\+100$"):
+            SweepSpec((1.0, ALPHA_MAX), z_method=z_method, derivative_scheme="central_difference")
 
 
 def test_thermo_point_validation():
@@ -362,14 +429,18 @@ def test_thermo_point_validation():
         thermo_point(1.0, mode="2d")
     with pytest.raises(DomainError):
         thermo_point(0.1, mode=THREE_D, z_method="em")  # the 3d closed form is <= 0 there
+    # Z > 0 there, but C < 0; below the range perfbench's point.em.3d.negative_z expects a plain DomainError
+    with pytest.raises(DomainError, match=r"alpha_bar in \[0.3632, 1e\+100\].*got alpha_bar=0.3$") as excinfo:
+        thermo_point(0.3, mode=THREE_D, z_method="em")
+    assert type(excinfo.value) is DomainError
 
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
 def test_every_route_is_finite_up_to_alpha_max(mode):
     # past alpha ~ 1e154 the specific heat divided by alpha^2 overflowed, and
-    # past ~7e102 Z itself; the Euler-Maclaurin forms are positive from 0.2 on
+    # past ~7e102 Z itself
     grid = np.geomspace(1e-3, ALPHA_MAX, 400)
-    for z_method, lo in (("direct", 1e-3), ("em", 0.2)):
+    for z_method, lo in (("direct", 1e-3), ("em", EM_ALPHA_RANGE[mode, VARIANT_DERIVED][0])):
         points = sweep(SweepSpec(tuple(grid[grid >= lo]), mode=mode, z_method=z_method)).points
         assert np.isfinite([pt[:6] for pt in points]).all()
         assert thermo_point(ALPHA_MAX, mode, z_method) == points[-1]
