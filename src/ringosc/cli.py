@@ -45,7 +45,7 @@ from .spectrum import (
 )
 from .thermo import SPACINGS, Z_METHODS, SweepSpec, scan_jumps, sweep
 
-__all__ = ["RunManifest", "FIGURES", "main", "run"]
+__all__ = ["RunManifest", "FIGURES", "SPECTRUM_ROWS_MAX", "main", "run"]
 
 # the columns of each figure: free energy, mean energy, entropy and specific
 # heat of the 3d ladder, then the four-column panel of the 1d ladder
@@ -58,6 +58,7 @@ FIGURES = {
 }
 
 PARTITION_METHODS = ("direct", "em", "em-paper", "exact")
+SPECTRUM_ROWS_MAX = 10 ** 5  # the most rows a level table of spectrum may have
 FORMATS = ("csv", "json")
 ELL_MODES = ("integer", "real")
 
@@ -169,6 +170,9 @@ class RunManifest:
             raise UsageError(f"manifest field 'methods' must hold items of {PARTITION_METHODS}, got {self.methods!r}")
         if min(self.n_max, self.ell_max, self.m) < 0:
             raise DomainError(f"n_max, ell_max and m must be >= 0, got {self.n_max}, {self.ell_max} and {self.m}")
+        if (self.n_max + 1) * (self.ell_max + 1) > SPECTRUM_ROWS_MAX:
+            raise DomainError(f"a spectrum table has at most {SPECTRUM_ROWS_MAX} rows, (n_max + 1)(ell_max + 1); "
+                              f"got n_max={self.n_max}, ell_max={self.ell_max}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -428,9 +432,6 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OverflowError, ZeroDivisionError) as exc:  # inputs inside the checked domain, past a float's range
-        print(f"error: {type(exc).__name__} at these inputs: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

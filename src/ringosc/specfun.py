@@ -1,7 +1,8 @@
 """Special functions needed by the spectral module.
 
-Everything here is exact at desk scale: Jacobi and Laguerre polynomials
-by their three-term recurrences (DLMF 18.9).  The terminating confluent
+Everything here is exact at desk scale: the symmetric Jacobi polynomials
+of the angular factor and the Laguerre polynomials of the radial one, by
+their three-term recurrences (DLMF 18.9).  The terminating confluent
 hypergeometric sum and the Gamma-function ratio are the paper's form of
 the radial polynomial, L_n^(a)(y) = C(n + a, n) 1F1(-n; a + 1; y)
 (DLMF 13.6); they are kept as the oracle that ``verification`` checks
@@ -25,44 +26,31 @@ __all__ = [
 ]
 
 
-def jacobi_poly(degree: int, a: float, b: float, x: float) -> float:
-    """Evaluate P_degree^(a, b)(x) for x in [-1, 1].
+def jacobi_poly(degree: int, a: float, x: float) -> float:
+    """Evaluate the symmetric Jacobi polynomial P_degree^(a, a)(x) for x in [-1, 1].
 
     Uses the ascending three-term recurrence, which avoids the
-    cancellation of the explicit series form.  For the symmetric a == b
-    indices of the angular solutions it runs the b = a form, divided
-    through by 4(k + a - 1):
+    cancellation of the explicit series form.  With both indices equal
+    to a it reads, divided through by 4(k + a - 1),
 
         P_k = (k + a) ((2k + 2a - 1) x P_{k-1} - (k + a - 1) P_{k-2}) / (k (k + 2a)).
 
+    The angular solutions take only these symmetric indices, a = Lambda.
     The series definition is deliberately kept out of the library; it
     lives in the test suite as an independent oracle.
     """
     if degree < 0 or int(degree) != degree:
         raise DomainError(f"degree must be a non-negative integer, got {degree}")
-    for name, value in (("alpha", a), ("beta", b)):
-        if not math.isfinite(value) or value <= -1.0:
-            raise DomainError(f"{name} must be finite and > -1, got {value}")
+    if not math.isfinite(a) or a <= -1.0:
+        raise DomainError(f"a must be finite and > -1, got {a}")
     if not math.isfinite(x) or abs(x) > 1.0 + 1e-9:
         raise DomainError(f"jacobi argument must lie in [-1, 1], got {x}")
     if degree == 0:
         return 1.0
-    prev = 1.0
-    if a == b:
-        cur = (a + 1.0) * x
-        for k in range(2, int(degree) + 1):
-            ka = k + a
-            cur, prev = ka * ((2.0 * ka - 1.0) * x * cur - (ka - 1.0) * prev) / (k * (ka + a)), cur
-        return cur
-    ab = a + b
-    a2_b2 = a * a - b * b
-    cur = 0.5 * (a - b) + 0.5 * (ab + 2.0) * x
+    prev, cur = 1.0, (a + 1.0) * x
     for k in range(2, int(degree) + 1):
-        t = 2.0 * k + ab  # 2k + a + b
-        c1 = 2.0 * k * (k + ab) * (t - 2.0)
-        c2 = (t - 1.0) * (t * (t - 2.0) * x + a2_b2)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t
-        cur, prev = (c2 * cur - c3 * prev) / c1, cur
+        ka = k + a
+        cur, prev = ka * ((2.0 * ka - 1.0) * x * cur - (ka - 1.0) * prev) / (k * (ka + a)), cur
     return cur
 
 

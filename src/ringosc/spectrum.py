@@ -17,7 +17,9 @@ Energies are reported in units of the level spacing scale
 
     xi = sqrt(hbar^2 a1^2 / (2 M)),
 
-so in natural units (hbar = M = 1) the ladder reads E/xi = 4n + 2 ell + 3.
+as the pure numbers E/xi = 4n + 2 ell + 3, so no value of xi is formed:
+the thermal functions take alpha = 1/(beta xi), and the one check that
+needs E itself (``verification``'s radial ODE residual) forms it there.
 
 Conventions adopted here:
 
@@ -52,7 +54,6 @@ __all__ = [
     "angular_constant_from_quantization",
     "radial_problem",
     "radial_energy_from_quantization",
-    "energy",
     "energy_over_xi",
     "energy_over_xi_special_case",
     "degeneracy",
@@ -61,7 +62,13 @@ __all__ = [
     "angular_wavefunction",
     "total_wavefunction",
     "SPECIAL_CASES",
+    "QUANTUM_NUMBER_MAX",
 ]
+
+# the largest s and m of an angular solution: without couplings the
+# discriminant of L is about 16 max(s, m)^2, which leaves the float range
+# where s = m passes 3.35e153
+QUANTUM_NUMBER_MAX = 3e153
 
 
 @dataclass(frozen=True)
@@ -87,26 +94,6 @@ class PotentialParams:
         for name in ("mass", "hbar"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-
-    @property
-    def xi(self) -> float:
-        """Level spacing scale sqrt(hbar^2 a1^2 / (2 M)); a DomainError where
-        it under- or overflows, since the energies divide by it or scale with it."""
-        # the mantissas and the exponents apart (that of M made even, so its
-        # square root is exact): where hbar a1, 2 M and xi are normal floats
-        # this is the quotient hbar a1 / sqrt(2 M) bit for bit, and where
-        # hbar a1 or 2 M alone leaves that range xi is still formed exactly
-        (h, eh), (a, ea), (m, em) = map(math.frexp, (self.hbar, self.a1, self.mass))
-        m, em = (2.0 * m, em - 1) if em % 2 else (m, em)
-        try:
-            xi = math.ldexp(h * a / math.sqrt(2.0 * m), eh + ea - em // 2)
-        except OverflowError:
-            xi = math.inf
-        if not (math.isfinite(xi) and xi > 0.0):
-            raise DomainError(
-                f"xi = hbar a1 / sqrt(2 M) leaves the float range at a1={self.a1}, mass={self.mass}, hbar={self.hbar}"
-            )
-        return xi
 
 
 def _strength(p: PotentialParams, a: float) -> float:
@@ -154,10 +141,15 @@ def angular_solution(p: PotentialParams, s: int, m: int) -> AngularSolution:
     ell_eff = L + 1/2.  Since Lambda^2 holds the a3 term, the discriminant
     equals (1 + 2s)(1 + 2s + 4 Lambda) + 4 (1 + m^2 + 2 M a2^2 / hbar^2),
     which is taken instead: it keeps every digit at large a3, where the
-    two squares agree to about 1/Lambda, and it is never below 9.  Where
-    2 M a^2/hbar^2 passes the float range, both would be inf: that is a
-    ``DomainError``.
+    two squares agree to about 1/Lambda, and it is never below 9.  s or m
+    past ``QUANTUM_NUMBER_MAX``, or 2 M a^2/hbar^2 past the float range,
+    is a ``DomainError``.
     """
+    for name, value in (("s", s), ("m", m)):
+        if value > QUANTUM_NUMBER_MAX:
+            raise DomainError(
+                f"{name} must be at most {QUANTUM_NUMBER_MAX:g}, where L stays finite; got {name}={value}"
+            )
     if s < 0 or int(s) != s or m < 0 or int(m) != m:
         raise DomainError("s and m must be non-negative integers")
     lam = big_lambda(p, m)
@@ -252,10 +244,6 @@ def energy_over_xi(n: int, ell: float) -> float:
         raise DomainError(f"ell must be >= 0, got {ell}")
     return 4.0 * n + 2.0 * ell + 3.0
 
-def energy(p: PotentialParams, n: int, ell: float) -> float:
-    """Bound-state energy xi (4n + 2 ell + 3); linear in both quantum numbers."""
-    return p.xi * energy_over_xi(n, ell)
-
 
 # the couplings each special case drops, which must be zero
 _DROPPED_COUPLINGS = {"a2_only": ("a3",), "a3_only": ("a2",), "oscillator": ("a2", "a3")}
@@ -263,8 +251,7 @@ SPECIAL_CASES = tuple(_DROPPED_COUPLINGS)
 
 
 def energy_over_xi_special_case(p: PotentialParams, case: str, N: int, s: int, m: int) -> float:
-    """Dimensionless level E/xi = 2(N + ell) + 3 of the reduced-coupling
-    cases; it forms no xi, so it holds wherever xi leaves the float range.
+    """Dimensionless level E/xi = 2(N + ell) + 3 of the reduced-coupling cases.
 
     Each case only checks that the couplings it drops are zero; the
     integer ell is then the floor reading ``angular_solution(p, s, m).ell_int``
@@ -372,7 +359,7 @@ def angular_wavefunction(sol: AngularSolution, theta: float) -> float:
         raise DomainError(f"theta must lie strictly inside (0, pi), got {theta}")
     y = 1.0 + math.cos(theta)
     w = 1.0 - y
-    jac = jacobi_poly(sol.s, sol.Lambda, sol.Lambda, w)
+    jac = jacobi_poly(sol.s, sol.Lambda, w)
     return y * abs(y * w) ** sol.Lambda * jac
 
 

@@ -71,6 +71,7 @@ __all__ = [
     "SPACINGS",
     "EM_ALPHA_RANGE",
     "JUMP_THRESHOLD",
+    "POINTS_MAX",
 ]
 
 Z_METHODS = ("direct", "em")
@@ -78,6 +79,7 @@ SPACINGS = ("log", "lin")
 DERIVATIVE_SCHEMES = ("analytic", "central_difference")
 FD_STEP_REL = 1e-5  # relative step of the central differences
 JUMP_THRESHOLD = 10.0  # the slope ratio above which the jump scan flags a step
+POINTS_MAX = 10 ** 5  # the most points a grid of from_grid may have
 LEAST_FLOAT = 5e-324  # the least positive (subnormal) float
 # the alpha_bar range of each Euler-Maclaurin form, keyed by (mode, variant):
 # each end is a positive root of the numerator of the form's C, rounded
@@ -185,8 +187,8 @@ class SweepSpec:
 
     @staticmethod
     def from_grid(alpha_min, alpha_max, points, spacing="log", **kwargs) -> "SweepSpec":
-        if points < 1:
-            raise DomainError(f"points must be >= 1, got {points}")
+        if not 1 <= points <= POINTS_MAX:
+            raise DomainError(f"points must be in [1, {POINTS_MAX}], got {points}")
         if not 0.0 < alpha_min <= alpha_max <= ALPHA_MAX:
             raise DomainError(f"need 0 < alpha_min <= alpha_max <= {ALPHA_MAX:g}, got [{alpha_min}, {alpha_max}]")
         if spacing not in SPACINGS:

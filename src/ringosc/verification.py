@@ -211,7 +211,7 @@ def check_degeneracy() -> CheckResult:
 
 
 def _radial_ode_residual(p, n, ell, r_grid, h=1e-4):
-    e = spectrum.energy(p, n, ell)
+    e = p.hbar * p.a1 / math.sqrt(2.0 * p.mass) * spectrum.energy_over_xi(n, ell)  # xi (4n + 2 ell + 3)
     f = np.array([spectrum.radial_wavefunction(p, n, ell, r) for r in r_grid])
     f_plus = np.array([spectrum.radial_wavefunction(p, n, ell, r + h) for r in r_grid])
     f_minus = np.array([spectrum.radial_wavefunction(p, n, ell, r - h) for r in r_grid])

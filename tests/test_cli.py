@@ -11,8 +11,9 @@ import pytest
 
 import ringosc
 from ringosc import partition, verification
-from ringosc.cli import _CHOICES, FIGURES, RunManifest, build_parser, main, render_csv, run
+from ringosc.cli import _CHOICES, FIGURES, SPECTRUM_ROWS_MAX, RunManifest, build_parser, main, render_csv, run
 from ringosc.errors import UsageError
+from ringosc.thermo import POINTS_MAX, SweepSpec
 
 
 def read_rows(path):
@@ -371,6 +372,20 @@ def test_negative_n_max_flag_is_domain_error(capsys):
         (["sweep", "--mode", "1d", "--z-method", "em", "--variant", "paper", "--alpha-max", "70"],
          "error: the 1d 'paper' Euler-Maclaurin form takes alpha_bar in [0.1216, 26.75], where its C is "
          "positive; got alpha_bar=70.0\n"),
+        # past the largest m, L leaves the float range (a raw OverflowError from m = 1.34e154)
+        *((["spectrum", *case, "--m", str(10**155)],
+           f"error: m must be at most 3e+153, where L stays finite; got m={10**155}\n")
+          for case in ((), ("--case", "oscillator"))),
+        # past the most points or rows a run builds (a sweep of 1e15 points ended in
+        # numpy's _ArrayMemoryError traceback, exit 1)
+        *((["sweep", "--points", str(points)], f"error: points must be in [1, {POINTS_MAX}], got {points}\n")
+          for points in (POINTS_MAX + 1, 10**15)),
+        (["spectrum", "--n-max", str(SPECTRUM_ROWS_MAX + 1)],
+         f"error: a spectrum table has at most {SPECTRUM_ROWS_MAX} rows, (n_max + 1)(ell_max + 1); "
+         f"got n_max={SPECTRUM_ROWS_MAX + 1}, ell_max=3\n"),
+        (["spectrum", "--n-max", str(SPECTRUM_ROWS_MAX), "--ell-max", "0", "--case", "a2_only"],
+         f"error: a spectrum table has at most {SPECTRUM_ROWS_MAX} rows, (n_max + 1)(ell_max + 1); "
+         f"got n_max={SPECTRUM_ROWS_MAX}, ell_max=0\n"),
     ],
 )
 def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
@@ -378,6 +393,12 @@ def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_largest_table_and_grid_are_accepted():
+    RunManifest("spectrum", n_max=SPECTRUM_ROWS_MAX - 1, ell_max=0)
+    RunManifest("spectrum", n_max=0, ell_max=SPECTRUM_ROWS_MAX - 1)
+    assert len(SweepSpec.from_grid(1.0, 2.0, POINTS_MAX).alphas) == POINTS_MAX
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ The same manifests, written as the flags that ``build_parser`` makes,
 must meet the same contract.
 
 Valid values stay where a run is quick: at most 60 sweep points, alphas
-in [1e-3, 1e3] and n_max and ell_max at most 6.
+in [1e-3, 1e3] and n_max and ell_max at most 6.  Out-of-range values
+include those past each stated bound: the most sweep points, the most
+rows of a level table and the largest m.
 """
 
 import contextlib
@@ -20,7 +22,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringosc.cli import _CHOICES, PARTITION_METHODS, SUBCOMMAND_FIELDS, build_parser, main
+from ringosc.cli import _CHOICES, PARTITION_METHODS, SPECTRUM_ROWS_MAX, SUBCOMMAND_FIELDS, build_parser, main
+from ringosc.spectrum import QUANTUM_NUMBER_MAX
+from ringosc.thermo import POINTS_MAX
 
 POSITIVE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.integers(1, 10))
 NON_NEGATIVE = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 10))
@@ -28,6 +32,7 @@ NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.integers(-10, 0))
 NEGATIVE_OR_INFINITE = st.one_of(st.floats(max_value=-1e-300), st.integers(-10, -1), st.just(math.inf))
 ALPHA = st.one_of(st.floats(min_value=1e-3, max_value=1e3), st.integers(1, 1000))
 SMALL = st.integers(0, 6)
+OUTSIDE_TABLE_BOUND = st.one_of(st.integers(max_value=-1), st.integers(min_value=SPECTRUM_ROWS_MAX))
 
 # per field: (valid values, values outside its domain); choice fields are
 # filled in from the choices their flags offer
@@ -37,14 +42,15 @@ DOMAINS = {
     "a3": (NON_NEGATIVE, NEGATIVE_OR_INFINITE),
     "mass": (POSITIVE, NOT_POSITIVE),
     "hbar": (POSITIVE, NOT_POSITIVE),
-    "n_max": (SMALL, st.integers(max_value=-1)),
-    "ell_max": (SMALL, st.integers(max_value=-1)),
-    "m": (st.one_of(SMALL, st.integers(min_value=0)), st.integers(max_value=-1)),
+    "n_max": (SMALL, OUTSIDE_TABLE_BOUND),
+    "ell_max": (SMALL, OUTSIDE_TABLE_BOUND),
+    "m": (st.one_of(SMALL, st.integers(min_value=0)),
+          st.one_of(st.integers(max_value=-1), st.integers(min_value=int(QUANTUM_NUMBER_MAX) + 1))),
     "alphas": (st.lists(ALPHA, max_size=4), st.lists(st.one_of(ALPHA, NOT_POSITIVE), min_size=1, max_size=3)),
     "methods": (st.lists(st.sampled_from(PARTITION_METHODS), max_size=4), st.lists(st.text(max_size=4), max_size=2)),
     "alpha_min": (ALPHA, NOT_POSITIVE),
     "alpha_max": (ALPHA, NOT_POSITIVE),
-    "points": (st.integers(1, 60), st.integers(max_value=0)),
+    "points": (st.integers(1, 60), st.one_of(st.integers(max_value=0), st.integers(min_value=POINTS_MAX + 1))),
 }
 for name, choices in _CHOICES.items():
     valid = st.sampled_from(choices)

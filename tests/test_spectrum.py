@@ -16,7 +16,6 @@ from ringosc.spectrum import (
     angular_wavefunction,
     degeneracy,
     degeneracy_sum,
-    energy,
     energy_over_xi,
     energy_over_xi_special_case,
     radial_energy_from_quantization,
@@ -38,36 +37,6 @@ def test_potential_params_validation():
         PotentialParams(a1=1.0, a2=-0.5)
     with pytest.raises(DomainError):
         PotentialParams(a1=1.0, mass=-1.0)
-
-
-def test_xi_scale():
-    p = PotentialParams(a1=2.0, mass=3.0, hbar=1.5)
-    assert p.xi == pytest.approx(1.5 * 2.0 / math.sqrt(6.0), rel=1e-15)
-    assert UNIT_XI.xi == pytest.approx(1.0, rel=1e-15)
-
-
-@pytest.mark.parametrize(
-    "a1, hbar, mass",
-    [(1e200, 1e200, 1e300), (1e-200, 1e-200, 1e-300), (1e300, 1.0, 1.7e308), (3e-170, 2e-160, 5e-324),
-     (1e-160, 1e-160, 1e-300)],
-)
-def test_energy_where_hbar_a1_or_2m_alone_leaves_the_float_range(a1, hbar, mass):
-    # hbar a1 or 2 M over- or underflowed, so xi was refused although it is a
-    # normal float; the last hbar a1 is subnormal, which cost xi 4 digits
-    p = PotentialParams(a1=a1, hbar=hbar, mass=mass)
-    with mp.workdps(40):
-        xi = mp.mpf(hbar) * mp.mpf(a1) / mp.sqrt(2 * mp.mpf(mass))
-    assert abs(p.xi - xi) <= 2 * math.ulp(p.xi)
-    assert energy(p, 1, 2) == 11.0 * p.xi
-
-
-def test_xi_keeps_its_bits_and_refuses_only_outside_the_float_range():
-    rng = np.random.default_rng(3)
-    for a1, hbar, mass in 10.0 ** rng.uniform(-100.0, 100.0, (500, 3)):
-        assert PotentialParams(a1=a1, hbar=hbar, mass=mass).xi == hbar * a1 / math.sqrt(2.0 * mass)
-    for a1, hbar, mass in ((1e300, 1e300, 1.0), (1e-300, 1e-300, 1e300), (1e-300, 1e-200, 1e-300)):
-        with pytest.raises(DomainError, match="leaves the float range"):
-            energy(PotentialParams(a1=a1, hbar=hbar, mass=mass), 0, 0)
 
 
 # ---------------------------------------------------------------- angular
@@ -112,6 +81,11 @@ def test_angular_solution_rejects_bad_quantum_numbers():
         angular_solution(NATURAL, s=-1, m=0)
     with pytest.raises(DomainError):
         angular_solution(NATURAL, s=0, m=-2)
+    # past the largest s or m, L would leave the float range (m = 1e155 was a
+    # raw OverflowError, s = 1e400 too)
+    for s, m, name in ((10**400, 0, "s"), (0, 10**155, "m"), (math.inf, 0, "s")):
+        with pytest.raises(DomainError, match=f"^{name} must be at most 3e\\+153, where L stays finite"):
+            angular_solution(NATURAL, s, m)
     # energy_over_xi_special_case leaves this check to angular_solution
     for s, m in ((-1, 0), (0, 1.5)):
         with pytest.raises(DomainError, match="^s and m must be non-negative integers$"):
@@ -122,22 +96,8 @@ def test_angular_solution_rejects_bad_quantum_numbers():
 
 
 def test_energy_substitutions():
-    assert energy(UNIT_XI, 0, 0) == pytest.approx(3.0, rel=1e-14)
-    assert energy(UNIT_XI, 1, 2) == pytest.approx(11.0, rel=1e-14)
-
-
-def test_energy_scales_with_a1():
-    p2 = PotentialParams(a1=2.0)
-    for n, ell in [(0, 0), (1, 2), (3, 1)]:
-        assert energy(p2, n, ell) == pytest.approx(2.0 * energy(NATURAL, n, ell), rel=1e-15)
-
-
-def test_energy_linearity_exact():
-    for n in range(4):
-        for ell in range(4):
-            base = energy(NATURAL, n, ell)
-            assert energy(NATURAL, n + 1, ell) - base == pytest.approx(4.0 * NATURAL.xi, rel=1e-13)
-            assert energy(NATURAL, n, ell + 1) - base == pytest.approx(2.0 * NATURAL.xi, rel=1e-13)
+    assert energy_over_xi(0, 0) == 3.0
+    assert energy_over_xi(1, 2) == 11.0
 
 
 def test_radial_quantization_ladder():
@@ -149,9 +109,9 @@ def test_radial_quantization_ladder():
 
 def test_energy_domain():
     with pytest.raises(DomainError):
-        energy(NATURAL, -1, 0)
+        energy_over_xi(-1, 0)
     with pytest.raises(DomainError):
-        energy(NATURAL, 0, -0.5)
+        energy_over_xi(0, -0.5)
 
 
 # ---------------------------------------------------------- special cases
@@ -339,7 +299,7 @@ def test_radial_ode_residual(n, ell):
     fp = np.array([radial_wavefunction(NATURAL, n, ell, ri + h) for ri in r])
     fm = np.array([radial_wavefunction(NATURAL, n, ell, ri - h) for ri in r])
     second = (fp - 2.0 * f + fm) / h ** 2
-    e = energy(NATURAL, n, ell)
+    e = NATURAL.hbar * NATURAL.a1 / math.sqrt(2.0 * NATURAL.mass) * energy_over_xi(n, ell)
     veff = e - NATURAL.a1 ** 2 * r ** 2 - ell * (ell + 1.0) / (2.0 * r ** 2)
     residual = second + 2.0 * veff * f
     assert np.max(np.abs(residual)) < 1e-5 * np.max(np.abs(f))
