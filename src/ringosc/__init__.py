@@ -6,8 +6,8 @@ importing it loads no layer. A caller imports the layer it uses:
 `nu_solver` and `spectrum` (the parametric Nikiforov-Uvarov spectrum, with
 `specfun`), `partition` (the partition function), `thermo` (F, U, S, C),
 `verification` (`ringosc verify`) and `cli` (the command-line tool). The
-spectral layer needs only the standard library; numpy comes in with
-`partition` and `thermo`.
+spectral layer needs only the standard library and loads neither numpy nor
+`dataclasses`; numpy comes in with `partition` and `thermo`.
 """
 
 from .errors import BranchError, ConvergenceError, DomainError, UsageError

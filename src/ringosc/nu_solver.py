@@ -12,7 +12,9 @@ radial rule (beta9 = 1/4, beta7 linear in E) and the angular rule
 (beta9 = beta8/4 free of ell(ell+1)) are both affine in their unknown.
 
 ``NUProblem`` and ``NUDerived`` are plain tuple records: a root find
-builds both at every residual evaluation.
+builds both at every residual evaluation, and ``derive`` and
+``quantization_residual`` read them by unpacking, which is cheaper than
+one read by field name per coefficient.
 
 beta8 and beta9 are returned raw, possibly negative; every square root
 is taken at the point of use behind an explicit check, so ``derive`` is
@@ -90,12 +92,13 @@ def derive(problem: NUProblem) -> NUDerived:
     Pure arithmetic, no branching; beta8 and beta9 may come out negative
     and are returned as-is.
     """
-    b4 = 0.5 * (1.0 - problem.beta1)
-    b5 = 0.5 * (problem.beta2 - 2.0 * problem.beta3)
-    b6 = b5 * b5 + problem.xi1
-    b7 = 2.0 * b4 * b5 - problem.xi2
-    b8 = b4 * b4 + problem.xi3
-    b9 = problem.beta3 * (b7 + problem.beta3 * b8) + b6
+    beta1, beta2, beta3, xi1, xi2, xi3 = problem
+    b4 = 0.5 * (1.0 - beta1)
+    b5 = 0.5 * (beta2 - 2.0 * beta3)
+    b6 = b5 * b5 + xi1
+    b7 = 2.0 * b4 * b5 - xi2
+    b8 = b4 * b4 + xi3
+    b9 = beta3 * (b7 + beta3 * b8) + b6
     return NUDerived(problem, b4, b5, b6, b7, b8, b9)
 
 
@@ -109,16 +112,17 @@ def quantization_residual(derived: NUDerived, s: int) -> float:
     """
     if s < 0 or int(s) != s:
         raise DomainError(f"s must be a non-negative integer, got {s}")
-    p = derived.problem
+    problem, _, beta5, _, beta7, beta8, _ = derived
+    _, beta2, beta3, _, _, _ = problem
     r8 = derived._root8()
     r9 = derived._root9()
     return (
-        p.beta2 * s
-        - (2.0 * s + 1.0) * derived.beta5
-        + (2.0 * s + 1.0) * (r9 + p.beta3 * r8)
-        + s * (s - 1.0) * p.beta3
-        + derived.beta7
-        + 2.0 * p.beta3 * derived.beta8
+        beta2 * s
+        - (2.0 * s + 1.0) * beta5
+        + (2.0 * s + 1.0) * (r9 + beta3 * r8)
+        + s * (s - 1.0) * beta3
+        + beta7
+        + 2.0 * beta3 * beta8
         + 2.0 * r8 * r9
     )
 

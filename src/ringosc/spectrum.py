@@ -34,13 +34,20 @@ Conventions adopted here:
   never silently returns complex values.
 * Wavefunctions are un-normalized throughout; norms are a quadrature
   away when needed.
+
+``PotentialParams`` and ``AngularSolution`` are immutable records over
+``__slots__`` (``_Record``), not dataclasses or named tuples.  The root
+finds and wavefunctions read their fields (p.mass, p.hbar, sol.Lambda,
+sol.ell_eff, ...) on every call: a slot read costs what a dataclass field
+read does, and a named-tuple field read markedly more.  Without
+``dataclasses``, and the ``inspect`` it imports, the layer loads in a few
+milliseconds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 from .nu_solver import NUProblem, derive, quantization_residual, solve_bracketed
@@ -71,29 +78,65 @@ __all__ = [
 QUANTUM_NUMBER_MAX = 3e153
 
 
-@dataclass(frozen=True)
-class PotentialParams:
+class _Record:
+    """An immutable record over ``__slots__``.
+
+    Equality, hash, repr and pickling go field by field in slot order, as
+    a frozen dataclass's do; setting or deleting a field raises
+    ``AttributeError``.  A record is pickled as its constructor call, so
+    an unpickled record passes the checks a new one does.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PotentialParams(_Record):
     """Couplings and constants of the potential.
 
     a1 sets the oscillator and must be positive for bound states; a2 and
     a3 are the angular couplings.  Defaults are natural units.
     """
 
-    a1: float
-    a2: float = 0.0
-    a3: float = 0.0
-    mass: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ("a1", "a2", "a3", "mass", "hbar")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a1) and self.a1 > 0.0):
-            raise DomainError(f"a1 must be > 0, got {self.a1}")
-        for name in ("a2", "a3"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0.0):
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("mass", "hbar"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
+    def __init__(self, a1: float, a2: float = 0.0, a3: float = 0.0, mass: float = 1.0, hbar: float = 1.0):
+        if not (math.isfinite(a1) and a1 > 0.0):
+            raise DomainError(f"a1 must be > 0, got {a1}")
+        for name, value in (("a2", a2), ("a3", a3)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise DomainError(f"{name} must be >= 0, got {value}")
+        for name, value in (("mass", mass), ("hbar", hbar)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be > 0, got {value}")
+        self._fill(a1, a2, a3, mass, hbar)
 
 
 def _strength(p: PotentialParams, a: float) -> float:
@@ -117,15 +160,13 @@ def big_lambda(p: PotentialParams, m: int) -> float:
     return math.sqrt(1.0 + (m * m + _strength(p, p.a2)) + _strength(p, p.a3))
 
 
-@dataclass(frozen=True)
-class AngularSolution:
+class AngularSolution(_Record):
     """Angular quantum data for node count s and magnetic number m."""
 
-    s: int
-    m: int
-    Lambda: float
-    L: float
-    ell_eff: float
+    __slots__ = ("s", "m", "Lambda", "L", "ell_eff")
+
+    def __init__(self, s: int, m: int, Lambda: float, L: float, ell_eff: float):
+        self._fill(s, m, Lambda, L, ell_eff)
 
     @property
     def ell_int(self) -> int:
@@ -172,7 +213,7 @@ def angular_problem(p: PotentialParams, m: int, separation_constant: float) -> N
     A = m * m + _strength(p, p.a2)
     B = _strength(p, p.a3)
     q = separation_constant + B
-    return NUProblem(beta1=0.0, beta2=0.0, beta3=0.5, xi1=0.25 * q, xi2=0.5 * q, xi3=0.25 * (A + B))
+    return NUProblem(0.0, 0.0, 0.5, 0.25 * q, 0.5 * q, 0.25 * (A + B))
 
 
 def angular_constant_from_quantization(p: PotentialParams, s: int, m: int) -> float:
@@ -211,14 +252,7 @@ def radial_problem(ell: float, e_over_xi: float) -> NUProblem:
     i.e. the energy sits in the linear-in-y coefficient.
     """
     mu = 0.5 * (ell + 1.0)
-    return NUProblem(
-        beta1=2.0 * mu + 0.5,
-        beta2=1.0,
-        beta3=0.0,
-        xi1=0.0,
-        xi2=0.25 * e_over_xi - mu - 0.25,
-        xi3=0.0,
-    )
+    return NUProblem(2.0 * mu + 0.5, 1.0, 0.0, 0.0, 0.25 * e_over_xi - mu - 0.25, 0.0)
 
 
 def radial_energy_from_quantization(n: int, ell: float) -> float:

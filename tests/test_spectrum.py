@@ -1,6 +1,9 @@
-"""Tests for angular constants, energies, degeneracies and wavefunctions."""
+"""Tests for the parameter records, angular constants, energies, degeneracies
+and wavefunctions."""
 
+import copy
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +13,7 @@ from scipy.special import eval_gegenbauer, gammaln
 
 from ringosc.errors import DomainError, UsageError
 from ringosc.spectrum import (
+    AngularSolution,
     PotentialParams,
     angular_constant_from_quantization,
     angular_solution,
@@ -31,12 +35,93 @@ UNIT_XI = PotentialParams(a1=math.sqrt(2.0))  # xi = 1 in natural units
 
 
 def test_potential_params_validation():
-    with pytest.raises(DomainError):
-        PotentialParams(a1=0.0)
-    with pytest.raises(DomainError):
-        PotentialParams(a1=1.0, a2=-0.5)
-    with pytest.raises(DomainError):
-        PotentialParams(a1=1.0, mass=-1.0)
+    # each message names the first bad field in signature order
+    for kwargs, message in (
+        ({"a1": 0.0, "a2": -1.0}, "a1 must be > 0, got 0.0"),
+        ({"a1": math.nan}, "a1 must be > 0, got nan"),
+        ({"a1": 1.0, "a2": -0.5, "mass": 0.0}, "a2 must be >= 0, got -0.5"),
+        ({"a1": 1.0, "a3": math.inf}, "a3 must be >= 0, got inf"),
+        ({"a1": 1.0, "mass": -1.0, "hbar": 0.0}, "mass must be > 0, got -1.0"),
+        ({"a1": 1.0, "hbar": 0.0}, "hbar must be > 0, got 0.0"),
+    ):
+        with pytest.raises(DomainError) as info:
+            PotentialParams(**kwargs)
+        assert str(info.value) == message
+
+
+# ---------------------------------------------------------------- records
+
+SOLUTION = AngularSolution(s=1, m=2, Lambda=2.5, L=3.25, ell_eff=3.75)
+RECORDS = [PotentialParams(1.5, 0.25, 2.0, mass=3.0, hbar=0.5), SOLUTION]
+
+
+def test_records_build_by_position_and_keyword():
+    assert PotentialParams(1.5, 0.25, 2.0, 3.0, 0.5) == PotentialParams(hbar=0.5, mass=3.0, a3=2.0, a2=0.25, a1=1.5)
+    p = PotentialParams(2.0)
+    assert (p.a1, p.a2, p.a3, p.mass, p.hbar) == (2.0, 0.0, 0.0, 1.0, 1.0)
+    assert AngularSolution(1, 2, 2.5, 3.25, 3.75) == SOLUTION
+    assert (SOLUTION.s, SOLUTION.m, SOLUTION.Lambda, SOLUTION.L, SOLUTION.ell_eff) == (1, 2, 2.5, 3.25, 3.75)
+    assert SOLUTION.ell_int == 3
+    for build in (
+        lambda: PotentialParams(),
+        lambda: PotentialParams(1.0, 0.0, 0.0, 1.0, 1.0, 1.0),
+        lambda: PotentialParams(1.0, a1=1.0),
+        lambda: PotentialParams(a1=1.0, xi=1.0),
+        lambda: AngularSolution(1, 2, 2.5, 3.25),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_records_compare_and_hash_by_field():
+    p = PotentialParams(a1=1.0, a2=0.5)
+    assert p == PotentialParams(1.0, 0.5, 0.0, 1.0, 1.0) and hash(p) == hash(PotentialParams(1.0, 0.5))
+    assert p != PotentialParams(1.0, 0.5, hbar=2.0)
+    assert len({p, PotentialParams(a1=1.0, a2=0.5), NATURAL}) == 2
+    same = AngularSolution(1, 2, 2.5, 3.25, 3.75)
+    assert SOLUTION == same and hash(SOLUTION) == hash(same)
+    assert SOLUTION != AngularSolution(1, 2, 2.5, 3.25, 4.0)
+    # a record equals nothing of another type, whatever its values
+    assert p != (1.0, 0.5, 0.0, 1.0, 1.0) and SOLUTION != (1, 2, 2.5, 3.25, 3.75)
+    assert PotentialParams(1.0, 2.0, 2.5, 3.25, 3.75) != AngularSolution(1.0, 2.0, 2.5, 3.25, 3.75)
+    assert p.__eq__(SOLUTION) is NotImplemented
+
+
+def test_record_repr_text():
+    assert repr(PotentialParams(a1=1.0, a2=0.5)) == "PotentialParams(a1=1.0, a2=0.5, a3=0.0, mass=1.0, hbar=1.0)"
+    assert repr(SOLUTION) == "AngularSolution(s=1, m=2, Lambda=2.5, L=3.25, ell_eff=3.75)"
+
+
+@pytest.mark.parametrize(
+    "record, names",
+    [(RECORDS[0], ("a1", "a2", "a3", "mass", "hbar", "extra")), (SOLUTION, ("s", "m", "Lambda", "L", "ell_eff", "extra"))],
+    ids=["params", "solution"],
+)
+def test_record_fields_are_read_only(record, names):
+    before = repr(record)
+    for name in names:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, 2.0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    assert repr(record) == before
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=["params", "solution"])
+def test_records_survive_pickle_and_copy(record):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(record, protocol))
+        assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
+    for clone in (copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
+
+
+def test_unpickling_a_bad_potential_is_domain_error():
+    # the stream that pickles a record as its constructor call, with a1 = -1
+    stream = b"cringosc.spectrum\nPotentialParams\n(F-1.0\nF0.0\nF0.0\nF1.0\nF1.0\ntR."
+    with pytest.raises(DomainError, match="^a1 must be > 0, got -1.0$"):
+        pickle.loads(stream)
+    assert pickle.loads(stream.replace(b"F-1.0", b"F1.0")) == NATURAL
 
 
 # ---------------------------------------------------------------- angular
