@@ -203,8 +203,6 @@ class RunManifest:
 
 
 def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, int):  # a bool too
@@ -299,6 +297,10 @@ def cmd_partition(manifest: RunManifest) -> int:
     rows = []
     for alpha in manifest.alphas:
         values = [_partition_value(m, manifest, alpha).Z for m in manifest.methods]
+        for _, j in pairs:
+            if values[j] == 0.0:
+                raise DomainError(f"Z of method '{manifest.methods[j]}' is 0 at alpha_bar={alpha}, "
+                                  f"so no relative difference can take it as the reference")
         rows.append(tuple([alpha] + values + [(values[i] - values[j]) / values[j] for i, j in pairs]))
     _emit(manifest, tuple(columns), rows)
     return 0

@@ -5,20 +5,22 @@
 
 ``derive`` turns the six template coefficients into the downstream
 parameter set, ``quantization_residual`` evaluates the standard
-termination rule, and ``solve_bracketed`` finds the root of a residual in
-the unknown a caller embedded in the coefficients.  Its first trial point
-is the secant of the bracket, which is exact for an affine residual; the
-radial rule (beta9 = 1/4, beta7 linear in E) and the angular rule
-(beta9 = beta8/4 free of ell(ell+1)) are both affine in their unknown.
+termination rule, and ``solve_bracketed`` solves that rule for the
+unknown a caller embedded in the coefficients.  The rule is affine in
+that unknown for both problems ``spectrum`` builds: the radial rule has
+beta9 = 1/4 and beta7 linear in E, and in the angular rule beta8 and
+beta9 = beta8/4 do not contain ell(ell+1).  So ``solve_bracketed`` is a
+two-point secant, checked by one more evaluation, not a general root
+finder.
 
 ``NUProblem`` and ``NUDerived`` are plain tuple records: a root find
 builds both at every residual evaluation, and ``derive`` and
 ``quantization_residual`` read them by unpacking, which is cheaper than
 one read by field name per coefficient.
 
-beta8 and beta9 are returned raw, possibly negative; every square root
-is taken at the point of use behind an explicit check, so ``derive`` is
-total and the non-existence of a bound state surfaces as a
+beta8 and beta9 are returned raw, possibly negative; their square roots
+are taken in ``quantization_residual`` behind a sign check, so ``derive``
+is total and the non-existence of a bound state surfaces as a
 ``BranchError`` rather than a NaN.
 """
 
@@ -29,9 +31,7 @@ from collections import namedtuple
 
 from .errors import BranchError, ConvergenceError, DomainError
 
-RESIDUAL_TOL = 1e-12  # |f| at which solve_bracketed accepts a root
-MAX_EXPANSIONS = 60  # bracket doublings before it gives up on a sign change
-MAX_ITERATIONS = 256  # refinement steps before it returns its best point
+RESIDUAL_TOL = 1e-12  # |f| at the secant root, relative to the larger endpoint |f|
 
 __all__ = [
     "NUProblem",
@@ -67,23 +67,9 @@ class NUProblem(namedtuple("NUProblem", "beta1 beta2 beta3 xi1 xi2 xi3")):
 
 
 class NUDerived(namedtuple("NUDerived", "problem beta4 beta5 beta6 beta7 beta8 beta9")):
-    """Derived parameters beta4..beta9 plus the source problem, as a tuple record.
-
-    sqrt(beta8) and sqrt(beta9) are taken through ``_root8`` and
-    ``_root9``, which raise ``BranchError`` when the radicand is negative.
-    """
+    """Derived parameters beta4..beta9 plus the source problem, as a tuple record."""
 
     __slots__ = ()
-
-    def _root8(self) -> float:
-        if self.beta8 < 0.0:
-            raise BranchError(f"beta8 = {self.beta8} < 0: no real bound-state branch")
-        return math.sqrt(self.beta8)
-
-    def _root9(self) -> float:
-        if self.beta9 < 0.0:
-            raise BranchError(f"beta9 = {self.beta9} < 0: no real bound-state branch")
-        return math.sqrt(self.beta9)
 
 
 def derive(problem: NUProblem) -> NUDerived:
@@ -112,10 +98,14 @@ def quantization_residual(derived: NUDerived, s: int) -> float:
     """
     if s < 0 or int(s) != s:
         raise DomainError(f"s must be a non-negative integer, got {s}")
-    problem, _, beta5, _, beta7, beta8, _ = derived
+    problem, _, beta5, _, beta7, beta8, beta9 = derived
     _, beta2, beta3, _, _, _ = problem
-    r8 = derived._root8()
-    r9 = derived._root9()
+    if beta8 < 0.0:
+        raise BranchError(f"beta8 = {beta8} < 0: no real bound-state branch")
+    if beta9 < 0.0:
+        raise BranchError(f"beta9 = {beta9} < 0: no real bound-state branch")
+    r8 = math.sqrt(beta8)
+    r9 = math.sqrt(beta9)
     return (
         beta2 * s
         - (2.0 * s + 1.0) * beta5
@@ -128,51 +118,24 @@ def quantization_residual(derived: NUDerived, s: int) -> float:
 
 
 def solve_bracketed(func, lo: float, hi: float) -> float:
-    """Root of a continuous scalar function, bracketing then refining.
+    """Root of a residual that is affine in its unknown, from two points.
 
-    The initial interval is expanded by doubling until the endpoints
-    straddle a sign change.  The first trial point is the secant of that
-    bracket (the midpoint if rounding puts the secant on an endpoint),
-    and each later one the secant of the shrunk bracket, falling back to
-    its midpoint when the secant leaves it.  Terminates when
-    |f| <= RESIDUAL_TOL or the bracket is at rounding width.
-
-    Derivative-free on purpose: the termination-rule residuals are
-    monotone in their embedded unknown, so bracketing is robust and
-    cheap.  Both rules that ``spectrum`` solves are affine in their
-    unknown, so the first secant lands on the root and a root inside the
-    initial bracket costs three evaluations of ``func``.
+    The root is the secant through (lo, func(lo)) and (hi, func(hi)); the
+    two points need not bracket it.  A third evaluation checks the
+    result: it is returned when |func(x)| <= RESIDUAL_TOL times the larger
+    endpoint residual, and ``ConvergenceError`` is raised otherwise, or
+    when the two endpoint residuals are equal.  Both termination rules
+    that ``spectrum`` solves are affine in their unknown, so every root
+    costs three evaluations of ``func``.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     flo = func(lo)
     fhi = func(hi)
-    expansions = 0
-    while flo * fhi > 0.0:
-        if expansions >= MAX_EXPANSIONS:
-            raise ConvergenceError(f"no sign change found in expanded bracket [{lo}, {hi}]")
-        width = hi - lo
-        lo -= width
-        hi += width
-        flo = func(lo)
-        fhi = func(hi)
-        expansions += 1
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    a, b, fa, fb = lo, hi, flo, fhi  # fa and fb keep opposite signs, so fb != fa
-    for _ in range(MAX_ITERATIONS):
-        x = b - fb * (b - a) / (fb - fa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        fx = func(x)
-        if abs(fx) <= RESIDUAL_TOL:
-            return x
-        if fa * fx < 0.0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-        if b - a <= 1e-15 * max(1.0, abs(a), abs(b)):
-            return 0.5 * (a + b)
+    if fhi == flo:
+        raise ConvergenceError(f"residual takes the same value {fhi} at {lo} and {hi}: no secant root")
+    x = hi - fhi * (hi - lo) / (fhi - flo)
+    fx = func(x)
+    if not abs(fx) <= RESIDUAL_TOL * max(abs(flo), abs(fhi)):
+        raise ConvergenceError(f"residual {fx} at the secant root {x} of [{lo}, {hi}]: not affine in its unknown")
     return x

@@ -225,9 +225,9 @@ def angular_constant_from_quantization(p: PotentialParams, s: int, m: int) -> fl
     Agreeing with ``angular_solution(p, s, m).L`` is the correctness
     check on the whole angular mapping.
 
-    The bracket [0, (s + Lambda + 1)^2] always holds the root: the closed
-    form gives ell_eff <= s + Lambda, so ell_eff (ell_eff + 1) lies below
-    its upper end, and ell_eff >= 1 keeps it above 0.
+    The rule is affine in ell(ell+1), so the secant through its values at
+    0 and (s + Lambda + 1)^2 lands on the root; the two points need not
+    bracket it.
     """
 
     def residual(separation_constant: float) -> float:

@@ -105,6 +105,12 @@ def test_partition_3d_em_row(tmp_path):
     assert float(rows[0][1]) == pytest.approx(79.0 / 45.0, rel=1e-15)
 
 
+def test_partition_zero_z_against_a_nonzero_reference(capsys):
+    # the order that takes Z_exact as the reference of a zero Z_em stays defined
+    assert main(["partition", "--alpha", "0.1616001310052524", "--methods", "em,exact"]) == 0
+    assert capsys.readouterr() == ("alpha_bar,Z_em,Z_exact,rd_em_exact\n0.16160013100525239,0,1.0000168708421993,-1\n", "")
+
+
 def test_partition_requires_alpha():
     rc = main(["partition", "--alpha", "", "--methods", "direct"])
     assert rc == 2
@@ -386,6 +392,11 @@ def test_negative_n_max_flag_is_domain_error(capsys):
         (["spectrum", "--n-max", str(SPECTRUM_ROWS_MAX), "--ell-max", "0", "--case", "a2_only"],
          f"error: a spectrum table has at most {SPECTRUM_ROWS_MAX} rows, (n_max + 1)(ell_max + 1); "
          f"got n_max={SPECTRUM_ROWS_MAX}, ell_max=0\n"),
+        # Z_em is exactly 0 there, the reference of rd_exact_em (was a ZeroDivisionError traceback, exit 1)
+        *((["partition", "--mode", mode, "--alpha", alpha, "--methods", "exact,em"],
+           f"error: Z of method 'em' is 0 at alpha_bar={alpha}, so no relative difference can take it as the "
+           "reference\n")
+          for mode, alpha in (("3d", "0.1616001310052524"), ("1d", "0.09874090625690714"))),
     ],
 )
 def test_input_past_a_stated_bound_is_domain_error(capsys, argv, message):

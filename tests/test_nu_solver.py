@@ -183,15 +183,6 @@ def test_angular_factors_are_symmetric_jacobi():
 # ------------------------------------------------------------ root finder
 
 
-def test_solve_bracketed_expands_and_finds_root():
-    assert solve_bracketed(lambda x: x - 37.5, 0.0, 1.0) == pytest.approx(37.5, rel=1e-12)
-
-
-def test_solve_bracketed_nonlinear():
-    root = solve_bracketed(lambda x: math.exp(x) - 5.0, 0.0, 1.0)
-    assert root == pytest.approx(math.log(5.0), rel=1e-12)
-
-
 def counting(func):
     """func and a list whose length is the number of calls of it."""
     calls = []
@@ -201,6 +192,18 @@ def counting(func):
         return func(x)
 
     return counted, calls
+
+
+def test_solve_bracketed_expands_and_finds_root():
+    # the two points need not bracket an affine root: the secant reaches it
+    func, calls = counting(lambda x: x - 37.5)
+    assert solve_bracketed(func, 0.0, 1.0) == pytest.approx(37.5, rel=1e-12)
+    assert len(calls) == 3
+
+
+def test_solve_bracketed_refuses_a_nonlinear_residual():
+    with pytest.raises(ConvergenceError, match="not affine"):
+        solve_bracketed(lambda x: math.exp(x) - 5.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, 0.999])
@@ -220,10 +223,10 @@ def test_radial_root_costs_three_evaluations(n, ell):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("s,m", [(0, 0), (2, 1), (7, 3), (12, 6), (0, 6), (3, 40)])
+@pytest.mark.parametrize("s,m", [(0, 0), (2, 1), (7, 3), (12, 6), (0, 6), (3, 40), (0, 1000), (10, 1000)])
 def test_angular_root_costs_three_evaluations(monkeypatch, s, m):
-    # beta9 of the angular rule does not depend on ell(ell+1), so it is affine
-    # too, and spectrum's bracket holds the root also where Lambda is large
+    # beta8 and beta9 of the angular rule do not contain ell(ell+1), so it is
+    # affine too, and one secant lands on the root also where Lambda is large
     p = PotentialParams(a1=1.0, a2=0.8, a3=1.3)
     func, calls = counting(derive)
     monkeypatch.setattr(spectrum, "derive", func)

@@ -101,3 +101,11 @@ def test_in_process_workload_passes_its_checks(workload):
         failed, problems = workloads.classify(ops, [workloads.run_op(op) for op in ops])
     assert problems == []
     assert failed <= KNOWN_FAILED[workload], f"{failed} of {len(ops)} operations failed by a named fault"
+
+
+def test_benchmark_root_finds_cost_three_evaluations_each():
+    # nu_solver.residual_evals_per_root of the traced run, over the
+    # benchmark's own brackets: every root is one affine secant solve
+    with benchmark_modules() as (tracing, workloads):
+        ops = workloads.build("spectrum_states", workloads.DEFAULT_SEED)
+        assert tracing._residual_evals(ops) == 3.0
