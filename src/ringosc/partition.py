@@ -219,9 +219,10 @@ def ladder_log_z_moments(mode: str, alpha_bar):
     """
     _check_mode(mode)
     _check_alpha(alpha_bar)
-    u = (2.0 if mode == THREE_D else 1.0) / alpha_bar
-    x = np.exp(-u)
-    r = -np.expm1(-u)  # 1 - x without cancellation
+    # -c/alpha, formed once: a rounded quotient changes sign with its numerator
+    neg_u = (-2.0 if mode == THREE_D else -1.0) / alpha_bar
+    x = np.exp(neg_u)
+    r = -np.expm1(neg_u)  # 1 - x without cancellation
     # log(r) loses the x term once r rounds to 1; log1p(-x) cancels near x = 1.
     # [()] turns the 0-d result of a scalar alpha back into a scalar.
     log_r = np.where(x > 0.5, np.log(r), np.log1p(-np.minimum(x, 0.5)))[()]
@@ -229,8 +230,9 @@ def ladder_log_z_moments(mode: str, alpha_bar):
     var = mean / r
     if mode == ONE_D:
         return -log_r, mean, var
-    p = x / (1.0 + x)
-    return np.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
+    one_x = 1.0 + x
+    p = x / one_x
+    return np.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / one_x + 3.0 * var)
 
 
 # the tables em_coefficients states, keyed by (mode, variant)
@@ -295,6 +297,11 @@ def _em_evaluate(alpha_bar, top, polys):
     """Each polynomial of ``polys`` at alpha_bar, summed from the highest
     power down, with p/q entering as p a^k/q (k >= 0) or p/(q a^-k).
 
+    A unit p or q is left out of its product or quotient: multiplying or
+    dividing by the integer 1 returns the same float, array element or
+    Fraction, so skipping it changes no bit and saves a ufunc call per term
+    on an array.
+
     Powers are products, since numpy's array power rounds differently from
     the scalar one and a point must match the same alpha inside a sweep.
     Where a power leaves the float range a value can be inf or NaN, which
@@ -310,10 +317,11 @@ def _em_evaluate(alpha_bar, top, polys):
         for up, down in polys:
             total = 0
             for k, p, q in up:
-                total += p * powers[k] / q
+                term = powers[k] if p == 1 else p * powers[k]
+                total += term if q == 1 else term / q
             try:
                 for k, p, q in down:
-                    total += p / (q * powers[k])
+                    total += p / (powers[k] if q == 1 else q * powers[k])
             except ZeroDivisionError:
                 raise DomainError(f"the Euler-Maclaurin form leaves the float range at alpha_bar={alpha_bar}") from None
             values.append(total)

@@ -33,7 +33,8 @@ bit.  Sweep points are emitted in grid order.
 
 ``scan_jumps`` flags a step of C whose slope exceeds ``JUMP_THRESHOLD``
 times that of its neighbours, the signature of a first-order transition;
-``continuity_scan`` runs it on a fresh sweep.
+``continuity_scan`` runs it on the C array the kernel gives for a grid,
+without building the sweep's points.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def thermo_point(alpha_bar: float, mode: str = THREE_D, z_method: str = "direct"
     if z_method == "em":
         _check_em_alpha(mode, VARIANT_DERIVED, a)
     values = _thermo_arrays(a, mode, z_method, "analytic", VARIANT_DERIVED)
-    return ThermoPoint(a, *map(float, values), z_method)
+    return tuple.__new__(ThermoPoint, (a, *map(float, values), z_method))
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
         "C_bar_non_decreasing": bool(np.all(c[1:] >= c[:-1] - slack)),
     }
     rows = zip(spec.alphas, *(v.tolist() for v in arrays), repeat(spec.z_method))
-    points = tuple(map(ThermoPoint._make, rows))
+    # tuple.__new__ builds each record in C, where ThermoPoint._make would run a
+    # Python frame per point; the records are the same ThermoPoint tuples
+    points = tuple(map(tuple.__new__, repeat(ThermoPoint), rows))
     return SweepResult(points=points, monotonicity=monotonicity)
 
 
@@ -277,6 +280,11 @@ def scan_jumps(alphas, cbar, jump_threshold: float = JUMP_THRESHOLD) -> Continui
 
 
 def continuity_scan(spec: SweepSpec, jump_threshold: float = JUMP_THRESHOLD) -> ContinuityReport:
-    """Jump scan of the specific heat of a sweep of ``spec``; a caller that
-    already holds the sweep calls ``scan_jumps`` on its C column."""
-    return scan_jumps(spec.alphas, [pt.C_bar for pt in sweep(spec).points], jump_threshold)
+    """Jump scan of the specific heat over the grid of ``spec``.
+
+    It takes C straight from the thermal kernel, the same array that
+    ``sweep`` turns into its points, so it builds no points and no
+    monotonicity flags; a caller that already holds the sweep calls
+    ``scan_jumps`` on its C column and gets the same report."""
+    c = _thermo_arrays(np.array(spec.alphas), spec.mode, spec.z_method, spec.derivative_scheme, spec.variant)[4]
+    return scan_jumps(spec.alphas, c, jump_threshold)

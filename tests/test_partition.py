@@ -365,6 +365,43 @@ def test_em_order_2_derivatives_differentiate_the_table():
     assert d2z == sum(k * (k - 1) * c * a ** (k - 2) for k, c in table.items())
 
 
+def em_unit_term_loop(mode, alpha, variant):
+    """Z, dZ and d2Z by the evaluation that multiplies and divides by every
+    p and q, unit ones too: p * a**k / q for k >= 0 and p / (q * a**-k)
+    for k < 0, highest power first, powers as products."""
+    tables = [em_coefficients(mode, variant)]
+    for _ in range(2):
+        tables.append({k - 1: k * c for k, c in tables[-1].items() if k})
+    values = []
+    with np.errstate(over="ignore"):  # a^5 overflows to inf near ALPHA_MAX, and p / inf is 0
+        powers = [alpha ** 0, alpha]
+        while len(powers) <= max(abs(k) for table in tables for k in table):
+            powers.append(powers[-1] * alpha)
+        for table in tables:
+            total = 0
+            for k, c in sorted(table.items(), reverse=True):
+                p, q = c.numerator, c.denominator
+                total = total + (p * powers[k] / q if k >= 0 else p / (q * powers[-k]))
+            values.append(total)
+    return tuple(values)
+
+
+@pytest.mark.parametrize("mode, variant", list(partition._EM_TABLES))
+def test_em_evaluation_equals_the_unit_term_loop_bit_for_bit(mode, variant):
+    # skipping a product or quotient by a unit p or q changes no bit
+    grid = np.geomspace(1e-60, ALPHA_MAX, 401)
+    columns = em_z_derivatives(mode, grid, variant)
+    assert all(type(col) is np.ndarray and col.dtype == float for col in columns)
+    assert [col.tobytes() for col in columns] == [col.tobytes() for col in em_unit_term_loop(mode, grid, variant)]
+    for a in grid.tolist():
+        got, want = em_z_derivatives(mode, a, variant), em_unit_term_loop(mode, a, variant)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in want], a
+    exact = em_z_derivatives(mode, Fraction(3, 7), variant)
+    assert all(type(v) is Fraction for v in exact)
+    assert exact == em_unit_term_loop(mode, Fraction(3, 7), variant)
+
+
 @pytest.mark.parametrize("alpha", [0.7, 1.0, 3.0, 20.0])
 def test_em_engine_reproduces_closed_forms(alpha):
     assert em_z(THREE_D, alpha) == em_z_derivatives(THREE_D, alpha)[0]

@@ -192,6 +192,35 @@ def test_radial_quantization_ladder():
             assert abs(root - energy_over_xi(n, ell)) / energy_over_xi(n, ell) < 1e-10
 
 
+def operator_levels_over_xi(ell, count=4, r_max=12.0):
+    """The count lowest E/xi of -u''/2 + (r^2 + ell(ell+1)/(2 r^2)) u = E u
+    on (0, r_max) with u = 0 at both ends, hbar = M = a1 = 1, so xi =
+    1/sqrt(2): second-order differences on 4000 and on 8000 interior points,
+    eigenvalues of each tridiagonal matrix, and one Richardson step."""
+    from scipy.linalg import eigh_tridiagonal
+
+    def levels(points):
+        h = r_max / (points + 1)
+        r = h * np.arange(1, points + 1)
+        diagonal = 1.0 / h ** 2 + r ** 2 + ell * (ell + 1.0) / (2.0 * r ** 2)
+        off = np.full(points - 1, -0.5 / h ** 2)
+        return eigh_tridiagonal(diagonal, off, eigvals_only=True, select="i", select_range=(0, count - 1))
+
+    coarse, fine = levels(4000), levels(8000)
+    return math.sqrt(2.0) * (4.0 * fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("ell", [0.0, 0.5, 1.0, 2.0, 2.7, 5.3])
+def test_radial_ladder_is_the_spectrum_of_the_schrodinger_operator(ell):
+    # the ladder and the NU root find against the operator itself, which
+    # shares no mapping with either; the order of the eigenvalues also pins
+    # n as the node count
+    levels = operator_levels_over_xi(ell)
+    for n, level in enumerate(levels):
+        assert abs(level - energy_over_xi(n, ell)) <= 1e-6 * energy_over_xi(n, ell), (n, level)
+        assert abs(level - radial_energy_from_quantization(n, ell)) <= 1e-6 * level, (n, level)
+
+
 def test_energy_domain():
     with pytest.raises(DomainError):
         energy_over_xi(-1, 0)

@@ -1,6 +1,7 @@
 """Tests for the thermal functions, sweeps and the jump scan."""
 
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -259,6 +260,22 @@ def test_thermo_point_keeps_fields_and_repr():
     assert repr(pt) == "ThermoPoint(" + ", ".join(f"{k}={v!r}" for k, v in pt._asdict().items()) + ")"
 
 
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+@pytest.mark.parametrize("z_method", ["direct", "em"])
+def test_sweep_points_keep_type_fields_and_repr(mode, z_method):
+    points = sweep(SweepSpec(reference_grid("em")[::100], mode=mode, z_method=z_method)).points
+    assert points
+    for pt in points:
+        assert type(pt) is ThermoPoint
+        assert pt._fields == ThermoPoint._fields
+        assert list(pt._asdict()) == list(ThermoPoint._fields) and tuple(pt._asdict().values()) == pt
+        assert repr(pt) == "ThermoPoint(" + ", ".join(f"{k}={v!r}" for k, v in pt._asdict().items()) + ")"
+        assert pt == ThermoPoint(*pt) and hash(pt) == hash(ThermoPoint(*pt))
+        copy = pickle.loads(pickle.dumps(pt))
+        assert type(copy) is ThermoPoint and copy == pt
+    assert type(thermo_point(points[0].alpha_bar, mode, z_method)) is ThermoPoint
+
+
 # ------------------------------------------------------------ high-T limits
 
 
@@ -386,6 +403,50 @@ def test_em_alpha_range_ends_are_the_roots_of_c_rounded_inward(mode, variant):
         assert c_num.eval(outside) < 0
 
 
+# ---------------------------------------- the zeros of Z: no phase transition
+#
+# A transition at a real beta_c = 1/alpha_c needs zeros of Z that reach the
+# real positive beta axis there (Yang and Lee 1952; Fisher 1965).  The exact
+# ladders have none; each Euler-Maclaurin form has one real positive zero,
+# an artefact of its truncation, and its stated alpha range avoids it.
+
+
+def test_exact_ladders_have_no_zero_at_real_positive_beta():
+    import sympy as sp
+
+    beta = sp.symbols("beta")
+    x3, x1 = sp.exp(-2 * beta), sp.exp(-beta)
+    for z in ((1 + x3) / (1 - x3) ** 3, 1 / (1 - x1)):  # 3d and 1d, Z(beta = 1/alpha)
+        assert sp.solveset(z, beta, sp.Interval.open(0, sp.oo)) is sp.S.EmptySet, z
+
+
+# the real positive root of alpha^3 Z_em per table, and the unit of its last pinned digit
+EM_Z_ROOTS = {
+    (THREE_D, VARIANT_DERIVED): (0.1616, 1e-4),
+    (ONE_D, VARIANT_DERIVED): (0.0987, 1e-4),
+    (ONE_D, VARIANT_PAPER): (73.73, 1e-2),
+}
+
+
+@pytest.mark.parametrize("mode, variant", list(EM_Z_ROOTS))
+def test_em_z_has_one_real_positive_zero_outside_its_alpha_range(mode, variant):
+    import sympy as sp
+
+    a = sp.symbols("alpha")
+    # every table's lowest power is at least -3, so alpha^3 Z is a polynomial
+    z3 = sp.Poly(sum(sp.Rational(c.numerator, c.denominator) * a ** (k + 3)
+                     for k, c in em_coefficients(mode, variant).items()), a)
+    (root,) = [r for r in sp.real_roots(z3) if r > 0]
+    pinned, unit = EM_Z_ROOTS[mode, variant]
+    assert abs(float(root) - pinned) <= unit / 2, float(root)
+    # Z has one sign on each side of its one positive root, and it is > 0 on
+    # the side the range takes: above the root for 'derived', below for 'paper'
+    lo, hi = (sp.Rational(repr(end)) for end in EM_ALPHA_RANGE[mode, variant])
+    assert 0 < lo < hi
+    assert root < lo if variant == VARIANT_DERIVED else hi < root
+    assert z3.eval(lo) > 0 and z3.eval(hi) > 0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode, variant", list(EM_ALPHA_RANGE))
 @pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
@@ -481,6 +542,23 @@ def test_scan_smooth_curve_passes():
     assert report.max_ratio < 1.5  # smooth curves sit near ratio 1
     # the library entry scans the C column that the CLI and verify scan
     assert continuity_scan(spec) == report == scan_jumps(spec.alphas, [pt.C_bar for pt in sweep(spec).points])
+
+
+SCAN_CASES = [(mode, "direct", VARIANT_DERIVED) for mode in (THREE_D, ONE_D)] + [
+    (mode, "em", variant) for mode, variant in EM_ALPHA_RANGE]
+
+
+@pytest.mark.parametrize("mode, z_method, variant", SCAN_CASES)
+@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+def test_scan_reads_the_c_column_of_the_sweep(mode, z_method, variant, scheme):
+    lo, hi = EM_ALPHA_RANGE[mode, variant] if z_method == "em" else (0.05, ALPHA_MAX)
+    spec = SweepSpec.from_grid(lo, min(hi, 1e4), 300, mode=mode, z_method=z_method,
+                               derivative_scheme=scheme, variant=variant)
+    c_column = [pt.C_bar for pt in sweep(spec).points]
+    assert continuity_scan(spec) == scan_jumps(spec.alphas, c_column)
+    # 0.5 lies below the largest ratio of every case, so the threshold is passed on and fails
+    low = continuity_scan(spec, 0.5)
+    assert low == scan_jumps(spec.alphas, c_column, 0.5) and not low.passed
 
 
 def test_scan_constant_input_has_zero_jumps():
