@@ -11,7 +11,7 @@ Routes to Z, all in the dimensionless temperature alpha = 1/(beta xi):
   it serves as the reference for every closed form.  It sums blocks of
   ``BLOCK`` terms, so its memory does not grow with alpha, and takes
   alpha up to ``DIRECT_ALPHA_MAX``, where the certified cutoff reaches
-  the 2^26 terms ``suggested_cutoff`` gives at most;
+  the index ``CUTOFF_MAX`` = 2^26 that ``suggested_cutoff`` gives at most;
 * ``em_coefficients`` is the paper's second-order Euler-Maclaurin
   approximant as one exact table of rational coefficients of powers of
   alpha; ``partition_em`` evaluates it and ``em_z_derivatives`` gives Z,
@@ -72,8 +72,9 @@ TAIL_RTOL = 1e-14  # relative accuracy a direct sum certifies
 # the largest alpha_bar taken: Z ~ alpha^3/4 of the 3d ladder leaves the float
 # range near alpha = 7e102, and the specific heat divides by alpha^2
 ALPHA_MAX = 1e100
+CUTOFF_MAX = 2 ** 26  # the largest truncation index suggested_cutoff gives
 # the largest alpha_bar whose cutoff suggested_cutoff accepts (at most
-# 2^26 terms), rounded down to 4 significant digits
+# CUTOFF_MAX), rounded down to 4 significant digits
 DIRECT_ALPHA_MAX = {THREE_D: 1.638e6, ONE_D: 1.445e6}
 BLOCK = 2 ** 16  # terms summed at once by partition_direct
 
@@ -143,10 +144,14 @@ def _tail_bound(mode: str, n0: int, x: float, r: float) -> float:
 
 
 def suggested_cutoff(mode: str, alpha_bar: float) -> int:
-    """Smallest truncation index whose tail bound meets TAIL_RTOL.
+    """The smallest truncation index n >= 9 whose tail bound meets
+    TAIL_RTOL; a ``ConvergenceError`` where that index exceeds CUTOFF_MAX.
 
     Uses Z >= 1 (the first retained term), so a tail bound below
-    TAIL_RTOL is below TAIL_RTOL times the partial sum.
+    TAIL_RTOL is below TAIL_RTOL times the partial sum.  The search
+    doubles n from 16 until the bound holds and then bisects between n/2,
+    taken as failing, and n; from 16 that lower end, 8, is never tested,
+    so where an index below 9 would do, the result is 9.
     """
     _check_mode(mode)
     _check_alpha(alpha_bar)
@@ -154,7 +159,7 @@ def suggested_cutoff(mode: str, alpha_bar: float) -> int:
     hi = 16
     while _tail_bound(mode, hi, x, r) > TAIL_RTOL:
         hi *= 2
-        if hi > 10 ** 8:
+        if hi > CUTOFF_MAX:
             raise ConvergenceError(f"tail bound will not reach {TAIL_RTOL} at alpha={alpha_bar}")
     lo = hi // 2
     while lo + 1 < hi:

@@ -23,8 +23,9 @@ definitions and double as wiring checks.  Two providers of ln Z:
   and C are positive; a point, and a sweep's grid by its two ends, are
   checked against that range before any work, so no sweep fails partway.
 
-Derivatives are analytic by default; a sweep can take central
-differences on ln Z instead, with the fixed relative step ``FD_STEP_REL``.
+Derivatives are analytic by default; a sweep of the exact ladder can take
+central differences on ln Z instead, with the fixed relative step
+``FD_STEP_REL``.  The em form takes its analytic derivatives only.
 
 One array kernel evaluates every quantity elementwise over a whole grid of
 alphas: ``sweep`` calls it once per grid and ``thermo_point`` calls it with
@@ -111,6 +112,8 @@ def _check_options(mode, z_method, derivative_scheme, variant):
         raise UsageError(f"z_method must be one of {Z_METHODS}, got {z_method!r}")
     if derivative_scheme not in DERIVATIVE_SCHEMES:
         raise UsageError(f"derivative_scheme must be one of {DERIVATIVE_SCHEMES}")
+    if derivative_scheme != "analytic" and z_method != "direct":
+        raise UsageError(f"derivative_scheme {derivative_scheme!r} takes only the z_method 'direct', got {z_method!r}")
     if z_method == "em":
         em_coefficients(mode, variant)  # rejects a variant the form does not have
     elif variant != VARIANT_DERIVED:
@@ -126,28 +129,24 @@ def _check_em_alpha(mode, variant, alpha_bar):
 
 def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
     """(Z, F, U, S, C) elementwise at a, one alpha or a 1-d array of them."""
-    if derivative_scheme == "analytic":
-        if z_method == "direct":
-            log_z, u, var = ladder_log_z_moments(mode, a)
-            # var > 0 only above alpha ~ 1e-3, where adding the least float leaves a * a
-            # as it is; below alpha ~ 1.57e-162 it keeps a * a above 0, so C is 0, not 0/0
-            z, c = np.exp(log_z), var / (a * a + LEAST_FLOAT)
-        else:
-            z, dz, d2z = em_z_derivatives(mode, a, variant)
-            g1 = dz / z
-            g2 = d2z / z - g1 * g1
-            log_z, u, c = np.log(z), a * a * g1, 2.0 * a * g1 + a * a * g2
+    if z_method == "em":
+        z, dz, d2z = em_z_derivatives(mode, a, variant)
+        log_z, g1 = np.log(z), dz / z
+        g2 = d2z / z - g1 * g1
+    elif derivative_scheme == "analytic":
+        log_z, u, var = ladder_log_z_moments(mode, a)
+        # var > 0 only above alpha ~ 1e-3, where adding the least float leaves a * a
+        # as it is; below alpha ~ 1.57e-162 it keeps a * a above 0, so C is 0, not 0/0
+        return np.exp(log_z), -a * log_z, u, log_z + u / a, var / (a * a + LEAST_FLOAT)
     else:
         eta = FD_STEP_REL * a
-        shifted = (a + eta, a, a - eta)
-        if z_method == "direct":
-            g_plus, log_z, g_minus = (ladder_log_z_moments(mode, x)[0] for x in shifted)
-        else:
-            g_plus, log_z, g_minus = (np.log(em_z_derivatives(mode, x, variant)[0]) for x in shifted)
+        g_plus, log_z, g_minus = (ladder_log_z_moments(mode, x)[0] for x in (a + eta, a, a - eta))
         g1 = (g_plus - g_minus) / (2.0 * eta)
         g2 = (g_plus - 2.0 * log_z + g_minus) / (eta * eta)
-        z, u, c = np.exp(log_z), a * a * g1, 2.0 * a * g1 + a * a * g2
-    return z, -a * log_z, u, log_z + u / a, c
+        z = np.exp(log_z)
+    # g1 and g2 are the first two alpha-derivatives of ln Z
+    u = a * a * g1
+    return z, -a * log_z, u, log_z + u / a, 2.0 * a * g1 + a * a * g2
 
 
 def thermo_point(alpha_bar: float, mode: str = THREE_D, z_method: str = "direct") -> ThermoPoint:

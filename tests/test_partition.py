@@ -14,8 +14,10 @@ from ringosc.errors import ConvergenceError, DomainError, UsageError
 from ringosc.partition import (
     ALPHA_MAX,
     BLOCK,
+    CUTOFF_MAX,
     DIRECT_ALPHA_MAX,
     ONE_D,
+    TAIL_RTOL,
     THREE_D,
     VARIANT_DERIVED,
     VARIANT_PAPER,
@@ -102,9 +104,21 @@ def test_suggested_cutoff_scales_with_alpha():
 
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_suggested_cutoff_is_the_smallest_certified_index_from_9(mode):
+    # the search takes index 8 as failing, so it gives 9 where a smaller index
+    # would do (3 at alpha 0.2 in 3d, and at 0.1 in 1d); above 9, the smallest
+    for alpha in np.geomspace(0.01, 50.0, 60).tolist():
+        x, r = partition._ratio(mode, alpha)
+        n = 0
+        while partition._tail_bound(mode, n, x, r) > TAIL_RTOL:
+            n += 1
+        assert suggested_cutoff(mode, alpha) == max(9, n), alpha
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
 def test_direct_alpha_max_is_the_largest_accepted_cutoff(monkeypatch, mode):
     bound = DIRECT_ALPHA_MAX[mode]
-    assert suggested_cutoff(mode, bound) <= 2 ** 26
+    assert suggested_cutoff(mode, bound) <= CUTOFF_MAX
     with pytest.raises(ConvergenceError):
         suggested_cutoff(mode, 1.001 * bound)
     # refused before any work, with a message that names the bound
@@ -458,3 +472,54 @@ def test_em_1d_leading_linear_term():
     # that failure mode is the point of keeping it behind a switch
     assert em_z(ONE_D, 10.0, VARIANT_PAPER) / 10.0 == pytest.approx(1.0, rel=0.05)
     assert em_z(ONE_D, 100.0, VARIANT_PAPER) < 0.0
+
+
+# ------------------------------------------ em against the exact Laurent series
+
+
+def laurent_table(mode, order):
+    """{power of alpha: Fraction} of the exact ladder's Laurent series in
+    t = 1/alpha through t^order, zero coefficients left out: 1/(1 - e^-t)
+    in 1d and (1 + e^-2t)/(1 - e^-2t)^3 in 3d."""
+    import sympy as sp
+
+    t = sp.symbols("t", positive=True)
+    z = 1 / (1 - sp.exp(-t)) if mode == ONE_D else (1 + sp.exp(-2 * t)) / (1 - sp.exp(-2 * t)) ** 3
+    series = sp.series(z, t, 0, order + 1).removeO()
+    coeffs = {-k: series.coeff(t, k) for k in range(-3, order + 1)}
+    return {k: Fraction(int(c.p), int(c.q)) for k, c in coeffs.items() if c}
+
+
+def exact_minus_em(mode, alpha, variant=VARIANT_DERIVED):
+    """Z of the exact ladder less Z of the Euler-Maclaurin form, in 50 digits."""
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        x = mp.exp(-(2 if mode == THREE_D else 1) / a)
+        exact = (1 + x) / (1 - x) ** 3 if mode == THREE_D else 1 / (1 - x)
+        em = sum(mp.mpf(c.numerator) / c.denominator * a ** k for k, c in em_coefficients(mode, variant).items())
+        return float(exact - em)
+
+
+def test_em_1d_derived_is_the_laurent_series_cut_after_t3():
+    series = laurent_table(ONE_D, 5)
+    assert {k: c for k, c in series.items() if k >= -3} == dict(em_coefficients(ONE_D))
+    # the first dropped term is +t^5/30240, and it sets the gap
+    assert -4 not in series and series[-5] == Fraction(1, 30240)
+    assert exact_minus_em(ONE_D, 1.0) == pytest.approx(3.23e-5, abs=5e-8)
+    assert exact_minus_em(ONE_D, 10.0) == pytest.approx(3.31e-10, abs=5e-13)
+
+
+def test_em_3d_derived_leaves_t3_over_189_of_the_laurent_series():
+    series, table = laurent_table(THREE_D, 4), dict(em_coefficients(THREE_D))
+    assert {k: c for k, c in series.items() if k >= -2} == {k: c for k, c in table.items() if k >= -2}
+    # the form has -1/90 at t^3 where the series has -11/1890: the gap is t^3/189 - t^4/189 + ...
+    assert table[-3] == Fraction(-1, 90) and series[-3] == Fraction(-11, 1890)
+    assert series[-3] - table[-3] == Fraction(1, 189) and series[-4] == Fraction(-1, 189)
+    assert exact_minus_em(THREE_D, 10.0) == pytest.approx(4.76e-6, abs=5e-9)
+    assert exact_minus_em(THREE_D, 100.0) == pytest.approx(5.24e-9, abs=5e-12)
+
+
+def test_em_1d_paper_gap_grows_as_alpha_cubed_over_5400():
+    gap = exact_minus_em(ONE_D, 10.0, VARIANT_PAPER)
+    assert gap == pytest.approx(0.185, abs=5e-4)
+    assert gap == pytest.approx(10.0 ** 3 / 5400, rel=1e-4)

@@ -19,7 +19,6 @@ from ringosc.partition import (
 )
 from ringosc.thermo import (
     EM_ALPHA_RANGE,
-    FD_STEP_REL,
     SweepSpec,
     ThermoPoint,
     continuity_scan,
@@ -29,12 +28,17 @@ from ringosc.thermo import (
 )
 
 
+# the (derivative scheme, Z method) pairs a sweep takes: central differences
+# take the exact ladder only
+ROUTES = [("analytic", "direct"), ("analytic", "em"), ("central_difference", "direct")]
+EM_SCHEMES = [scheme for scheme, z_method in ROUTES if z_method == "em"]
+
+
 # ------------------------------------------------------------- identities
 
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
-@pytest.mark.parametrize("z_method", ["direct", "em"])
-@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+@pytest.mark.parametrize("scheme, z_method", ROUTES)
 def test_u_equals_f_plus_alpha_s(mode, z_method, scheme):
     tol = 1e-9 if scheme == "analytic" else 1e-6
     grid = (0.7, 2.0, 13.0, 40.0)
@@ -147,24 +151,18 @@ def loop_point(a, mode, z_method, scheme, lib, fd_step_rel=1e-5):
         p = x / (1.0 + x)
         return lib.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / (1.0 + x) + 3.0 * var)
 
-    def em(a):
-        return em_z_derivatives(mode, a)
-
-    def log_z(a):
-        return ladder(a)[0] if z_method == "direct" else lib.log(em(a)[0])
-
     if scheme == "analytic":
         if z_method == "direct":
             lz, u, var = ladder(a)
             z, c = lib.exp(lz), var / (a * a)
         else:
-            z, dz, d2z = em(a)
+            z, dz, d2z = em_z_derivatives(mode, a)
             g1 = dz / z
             g2 = d2z / z - g1 * g1
             lz, u, c = lib.log(z), a * a * g1, 2.0 * a * g1 + a * a * g2
     else:
         eta = fd_step_rel * a
-        g_plus, lz, g_minus = log_z(a + eta), log_z(a), log_z(a - eta)
+        g_plus, lz, g_minus = ladder(a + eta)[0], ladder(a)[0], ladder(a - eta)[0]
         g1 = (g_plus - g_minus) / (2.0 * eta)
         g2 = (g_plus - 2.0 * lz + g_minus) / (eta * eta)
         z, u, c = lib.exp(lz), a * a * g1, 2.0 * a * g1 + a * a * g2
@@ -181,8 +179,7 @@ def reference_grid(z_method):
 
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
-@pytest.mark.parametrize("z_method", ["direct", "em"])
-@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+@pytest.mark.parametrize("scheme, z_method", ROUTES)
 def test_sweep_equals_point_loop(mode, z_method, scheme):
     grid = reference_grid(z_method)
     result = sweep(SweepSpec(grid, mode=mode, z_method=z_method, derivative_scheme=scheme))
@@ -239,8 +236,7 @@ def test_monotonicity_flags_equal_pairwise_comparisons(case):
 
 
 @pytest.mark.parametrize("mode", [THREE_D, ONE_D])
-@pytest.mark.parametrize("z_method", ["direct", "em"])
-@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+@pytest.mark.parametrize("scheme, z_method", ROUTES)
 def test_point_equals_sweep_point(mode, z_method, scheme):
     # thermo_point runs the analytic scheme; a one-point sweep runs either
     options = dict(mode=mode, z_method=z_method, derivative_scheme=scheme)
@@ -355,7 +351,7 @@ def test_em_sweep_past_its_range_is_refused_before_it_runs():
     [(THREE_D, VARIANT_DERIVED, 1e-107), (THREE_D, VARIANT_DERIVED, 1e-200),
      (ONE_D, VARIANT_DERIVED, 1e-200), (ONE_D, VARIANT_PAPER, 1e-300)],
 )
-@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+@pytest.mark.parametrize("scheme", EM_SCHEMES)
 def test_em_value_past_the_float_range_is_refused(mode, variant, alpha, scheme):
     # a power of alpha leaves the float range: the float division by one that
     # underflowed to 0 raised ZeroDivisionError, and a sweep printed Z, U, S
@@ -420,6 +416,35 @@ def test_exact_ladders_have_no_zero_at_real_positive_beta():
         assert sp.solveset(z, beta, sp.Interval.open(0, sp.oo)) is sp.S.EmptySet, z
 
 
+def test_exact_3d_ladder_vanishes_only_pi_over_2_off_the_real_axis():
+    import sympy as sp
+
+    beta = sp.symbols("beta")
+    x = sp.exp(-2 * beta)
+    # Z = (1 + x)/(1 - x)^3 vanishes where 1 + x does: x = -1, where (1 - x)^3 = 8
+    zeros = sp.solveset(1 + x, beta, sp.S.Complexes)
+    assert isinstance(zeros, sp.ImageSet) and zeros.base_sets == (sp.S.Integers,)
+    (n,) = zeros.lamda.variables
+    # each zero is i pi q(n) with q(n) = +-n +- 1/2, so the set is {i pi (k + 1/2)}
+    q = sp.Poly(sp.expand(zeros.lamda.expr / (sp.I * sp.pi)), n)
+    slope, offset = q.all_coeffs()
+    assert abs(slope) == 1 and abs(offset) == sp.Rational(1, 2)
+    for k in range(-3, 3):
+        zero = sp.I * sp.pi * (k + sp.Rational(1, 2))
+        assert x.subs(beta, zero) == -1 and ((1 - x) ** 3).subs(beta, zero) == 8
+    # |Im| = pi |q(n)| is least at the two n with |q(n)| = 1/2: pi/2 ~ 1.571 from the real axis
+    distance = min(abs(sp.im(zeros.lamda.expr.subs(n, k))) for k in range(-3, 3))
+    assert distance == sp.pi / 2 and round(float(distance), 3) == 1.571
+
+
+def test_exact_1d_ladder_and_textbook_oscillator_have_no_zeros():
+    import sympy as sp
+
+    beta = sp.symbols("beta")
+    for z in (1 / (1 - sp.exp(-beta)), (2 * sp.sinh(beta)) ** -3):
+        assert sp.solveset(z, beta, sp.S.Complexes) is sp.S.EmptySet, z
+
+
 # the real positive root of alpha^3 Z_em per table, and the unit of its last pinned digit
 EM_Z_ROOTS = {
     (THREE_D, VARIANT_DERIVED): (0.1616, 1e-4),
@@ -449,19 +474,27 @@ def test_em_z_has_one_real_positive_zero_outside_its_alpha_range(mode, variant):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode, variant", list(EM_ALPHA_RANGE))
-@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+@pytest.mark.parametrize("scheme", EM_SCHEMES)
 def test_em_sweep_over_its_whole_range_is_physical(mode, variant, scheme):
     lo, hi = EM_ALPHA_RANGE[mode, variant]
-    if scheme == "central_difference":
-        hi = min(hi, ALPHA_MAX / (1.0 + 2.0 * FD_STEP_REL))  # its step must stay at or below ALPHA_MAX
     result = sweep(SweepSpec(tuple(np.geomspace(lo, hi, 20001).tolist()), mode=mode, z_method="em",
                              derivative_scheme=scheme, variant=variant))
     values = np.array([pt[:6] for pt in result.points])
     assert np.isfinite(values).all()
     z, c = values[:, 1], values[:, 5]
     assert (z > 0.0).all() and (c >= 0.0).all(), (z.min(), c.min())
-    if variant == VARIANT_DERIVED and scheme == "analytic":
+    if variant == VARIANT_DERIVED:
         assert all(result.monotonicity.values()), result.monotonicity
+
+
+@pytest.mark.parametrize("mode, variant", list(EM_ALPHA_RANGE))
+def test_em_central_difference_is_usage_error(mode, variant):
+    # inside the form's range, so only the pairing of the options is refused
+    with pytest.raises(UsageError) as excinfo:
+        SweepSpec((1.0, 2.0), mode=mode, z_method="em", derivative_scheme="central_difference", variant=variant)
+    assert type(excinfo.value) is UsageError
+    assert str(excinfo.value) == (
+        "derivative_scheme 'central_difference' takes only the z_method 'direct', got 'em'")
 
 
 def test_sweep_spec_validation():
@@ -476,9 +509,8 @@ def test_sweep_spec_validation():
     with pytest.raises(UsageError):
         SweepSpec.from_grid(1.0, 1.0, 1, "cubic")  # checked on a one-point grid too
     # a central difference steps past the last alpha, which must leave it in range
-    for z_method in ("direct", "em"):
-        with pytest.raises(DomainError, match="got alpha_bar=1e\\+100$"):
-            SweepSpec((1.0, ALPHA_MAX), z_method=z_method, derivative_scheme="central_difference")
+    with pytest.raises(DomainError, match="got alpha_bar=1e\\+100$"):
+        SweepSpec((1.0, ALPHA_MAX), derivative_scheme="central_difference")
 
 
 def test_thermo_point_validation():
@@ -544,12 +576,11 @@ def test_scan_smooth_curve_passes():
     assert continuity_scan(spec) == report == scan_jumps(spec.alphas, [pt.C_bar for pt in sweep(spec).points])
 
 
-SCAN_CASES = [(mode, "direct", VARIANT_DERIVED) for mode in (THREE_D, ONE_D)] + [
-    (mode, "em", variant) for mode, variant in EM_ALPHA_RANGE]
+SCAN_CASES = [(scheme, mode, z_method, variant) for scheme, z_method in ROUTES for mode, variant in
+              (EM_ALPHA_RANGE if z_method == "em" else [(THREE_D, VARIANT_DERIVED), (ONE_D, VARIANT_DERIVED)])]
 
 
-@pytest.mark.parametrize("mode, z_method, variant", SCAN_CASES)
-@pytest.mark.parametrize("scheme", ["analytic", "central_difference"])
+@pytest.mark.parametrize("scheme, mode, z_method, variant", SCAN_CASES)
 def test_scan_reads_the_c_column_of_the_sweep(mode, z_method, variant, scheme):
     lo, hi = EM_ALPHA_RANGE[mode, variant] if z_method == "em" else (0.05, ALPHA_MAX)
     spec = SweepSpec.from_grid(lo, min(hi, 1e4), 300, mode=mode, z_method=z_method,
