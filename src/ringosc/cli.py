@@ -168,6 +168,12 @@ class RunManifest:
                 raise UsageError(f"manifest field {name!r} must be one of {choices}, got {value!r}")
         if any(method not in PARTITION_METHODS for method in self.methods):
             raise UsageError(f"manifest field 'methods' must hold items of {PARTITION_METHODS}, got {self.methods!r}")
+        # an empty list would print alpha_bar alone, and a repeated method its column twice
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise UsageError(f"manifest field 'methods' must name at least one method, each once; got {self.methods!r}")
+        if self.points == 1 and self.alpha_max != self.alpha_min:
+            raise UsageError(f"a grid of 1 point is alpha_min alone, so alpha_max must equal it; "
+                             f"got alpha_min={self.alpha_min!r}, alpha_max={self.alpha_max!r}")
         if min(self.n_max, self.ell_max, self.m) < 0:
             raise DomainError(f"n_max, ell_max and m must be >= 0, got {self.n_max}, {self.ell_max} and {self.m}")
         if (self.n_max + 1) * (self.ell_max + 1) > SPECTRUM_ROWS_MAX:

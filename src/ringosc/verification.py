@@ -4,8 +4,11 @@ Each check pits one implementation route against an independent one
 (quantization root vs closed-form ladder, closed form vs certified sum,
 analytic derivative vs finite difference, closed-form count vs
 brute-force loop) and reports the measured discrepancy next to its
-tolerance.  One informational entry documents the known gap between the
-two 1d closed-form variants without failing the run.
+tolerance.  A check folds its measured errors with ``_worst``, which
+keeps a NaN, so a route that returns NaN fails.  Two informational
+entries never fail the run: the known gap between the two 1d closed-form
+variants, and the zeros of Z that settle the paper's phase-transition
+question.
 
 ``ALL_CHECKS`` is the one implementation of the acceptance criteria, run
 one check per case by ``tests/test_acceptance.py``.  Each tolerance or
@@ -40,6 +43,13 @@ class CheckResult:
     informational: bool = False
 
 
+def _worst(errors) -> float:
+    """The largest of ``errors``, or NaN when any of them is NaN: every check
+    folds its measured errors here, so a route that returns NaN fails its
+    check instead of dropping out of a running ``max``."""
+    return float(np.max(np.fromiter(errors, dtype=float)))
+
+
 def _within(name: str, parts, ok: bool = True, note: str = "") -> CheckResult:
     """A check of several (label, measured, tol) parts, each against its own tol.
 
@@ -48,18 +58,15 @@ def _within(name: str, parts, ok: bool = True, note: str = "") -> CheckResult:
     """
     info = [f"{label}: {measured:.3e} (tol {tol:.0e})" for label, measured, tol in parts]
     passed = ok and all(measured < tol for _, measured, tol in parts)
-    worst_scaled = max(measured / tol for _, measured, tol in parts)
+    worst_scaled = _worst(measured / tol for _, measured, tol in parts)
     return CheckResult(name, passed, worst_scaled, 1.0, "; ".join(info + ([note] if note else [])))
 
 
 def check_radial_spectrum() -> CheckResult:
     tol = 1e-10
-    worst = 0.0
-    for n in range(4):
-        for ell in range(4):
-            target = spectrum.energy_over_xi(n, ell)
-            found = spectrum.radial_energy_from_quantization(n, ell)
-            worst = max(worst, abs(found - target) / target)
+    pairs = ((spectrum.energy_over_xi(n, ell), spectrum.radial_energy_from_quantization(n, ell))
+             for n in range(4) for ell in range(4))
+    worst = _worst(abs(found - target) / target for target, found in pairs)
     return CheckResult(
         "radial quantization reproduces E/xi = 4n + 2l + 3",
         worst < tol,
@@ -71,14 +78,10 @@ def check_radial_spectrum() -> CheckResult:
 
 def check_angular_constants() -> CheckResult:
     tol = 1e-10
-    worst = 0.0
-    for a2, a3 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        p = spectrum.PotentialParams(a1=1.0, a2=a2, a3=a3)
-        for s in range(4):
-            for m in range(4):
-                closed_form = spectrum.angular_solution(p, s, m).L
-                solved = spectrum.angular_constant_from_quantization(p, s, m)
-                worst = max(worst, abs(solved - closed_form) / abs(closed_form))
+    cases = ((spectrum.PotentialParams(a1=1.0, a2=a2, a3=a3), s, m)
+             for a2, a3 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)) for s in range(4) for m in range(4))
+    pairs = ((spectrum.angular_solution(*case).L, spectrum.angular_constant_from_quantization(*case)) for case in cases)
+    worst = _worst(abs(solved - closed_form) / abs(closed_form) for closed_form, solved in pairs)
     return CheckResult(
         "angular quantization reproduces the closed-form L",
         worst < tol,
@@ -111,11 +114,9 @@ def check_em3d_vs_direct() -> CheckResult:
 
 def check_em1d_vs_exact() -> CheckResult:
     tol = 1e-4
-    worst = 0.0
-    for alpha in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
-        exact = partition.partition_closed_form(partition.ONE_D, alpha).Z
-        derived = partition.partition_em(partition.ONE_D, alpha).Z
-        worst = max(worst, abs(derived - exact) / exact)
+    pairs = ((partition.partition_closed_form(partition.ONE_D, a).Z, partition.partition_em(partition.ONE_D, a).Z)
+             for a in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0))
+    worst = _worst(abs(derived - exact) / exact for exact, derived in pairs)
     return CheckResult(
         "1d derived closed form vs exact geometric form",
         worst < tol,
@@ -142,6 +143,33 @@ def info_em1d_variant_gap() -> CheckResult:
     )
 
 
+def info_phase_transition_zeros() -> CheckResult:
+    # a transition at a real beta = 1/alpha needs zeros of Z that reach the real
+    # beta axis there (Yang and Lee 1952); the 3d Z = (1 + x)/(1 - x)^3,
+    # x = e^(-2 beta), vanishes only where 1 + x does, and the 1d Z = 1/(1 - x)
+    # nowhere; beta = -ln(x)/2 over every branch of the log
+    (x_zero,) = np.roots([1.0, 1.0])
+    distance = abs(np.log(complex(x_zero)).imag) / 2.0
+    em_zeros = []
+    for mode, variant in thermo.EM_ALPHA_RANGE:  # one key per Euler-Maclaurin table
+        table = partition.em_coefficients(mode, variant)
+        # alpha^3 Z_em is a polynomial: no table has a power below alpha^-3
+        roots = np.roots([float(table.get(k, 0)) for k in range(max(table), -4, -1)])
+        (root,) = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+        em_zeros.append(f"{root:.4g} ({mode} {variant})")
+    return CheckResult(
+        "zeros of Z: no phase transition on the exact ladders (informational)",
+        True,
+        distance,
+        math.inf,
+        "the 3d ladder's Z vanishes only at beta = i pi (k + 1/2), "
+        f"{distance:.3f} from the real beta axis, and the 1d ladder's Z nowhere; "
+        f"the real positive zeros of alpha^3 Z_em, {', '.join(em_zeros)}, come from truncating "
+        "the Euler-Maclaurin forms, not from the ladders",
+        informational=True,
+    )
+
+
 def check_high_t_limits() -> CheckResult:
     pt3 = thermo.thermo_point(100.0, mode=partition.THREE_D, z_method="direct")
     pt1 = thermo.thermo_point(100.0, mode=partition.ONE_D, z_method="direct")
@@ -157,13 +185,13 @@ def check_thermo_identities() -> CheckResult:
     def points(alphas):  # the analytic 3d direct-route points at alphas
         return thermo.sweep(thermo.SweepSpec(alphas)).points
 
-    worst_identity = max(
+    worst_identity = _worst(
         abs(pt.U_bar - (pt.F_bar + pt.alpha_bar * pt.S_bar)) / max(1.0, abs(pt.U_bar))
         for pt in points(np.geomspace(0.5, 50.0, 200))
     )
     a = np.geomspace(1.0, 50.0, 40)
     h = 1e-5 * a
-    worst_c = max(
+    worst_c = _worst(
         abs((plus.U_bar - minus.U_bar) / (2.0 * step) - pt.C_bar) / abs(pt.C_bar)
         for pt, plus, minus, step in zip(points(a), points(a + h), points(a - h), h.tolist())
     )
@@ -198,14 +226,11 @@ def check_figure_shapes() -> CheckResult:
 
 
 def check_degeneracy() -> CheckResult:
-    worst = 0
-    for n_prime in range(51):
-        diff = abs(spectrum.degeneracy_sum(n_prime) - spectrum.degeneracy(n_prime))
-        worst = max(worst, diff)
+    worst = _worst(abs(spectrum.degeneracy_sum(n_prime) - spectrum.degeneracy(n_prime)) for n_prime in range(51))
     return CheckResult(
         "degeneracy: brute-force sum equals (1 + n')^2 for n' <= 50",
         worst == 0,
-        float(worst),
+        worst,
         0.0,
     )
 
@@ -218,17 +243,14 @@ def _radial_ode_residual(p, n, ell, r_grid, h=1e-4):
     second = (f_plus - 2.0 * f + f_minus) / h ** 2
     veff = e - p.a1 ** 2 * r_grid ** 2 - ell * (ell + 1.0) * p.hbar ** 2 / (2.0 * p.mass * r_grid ** 2)
     residual = second + (2.0 * p.mass / p.hbar ** 2) * veff * f
-    return np.max(np.abs(residual)) / np.max(np.abs(f))
+    return _worst(np.abs(residual)) / np.max(np.abs(f))
 
 
 def check_wavefunctions() -> CheckResult:
     p = spectrum.PotentialParams(a1=1.0)
     r_grid = np.linspace(0.1, 5.0, 241)
-    worst_ode = 0.0
-    for n in range(3):
-        for ell in range(3):
-            worst_ode = max(worst_ode, _radial_ode_residual(p, n, ell, r_grid))
-    worst_overlap = 0.0
+    worst_ode = _worst(_radial_ode_residual(p, n, ell, r_grid) for n in range(3) for ell in range(3))
+    overlaps = []
     for ell in range(3):
         norms = [
             math.sqrt(quad(lambda r, n=n: spectrum.radial_wavefunction(p, n, ell, r) ** 2, 0.0, 10.0, limit=200)[0])
@@ -245,7 +267,7 @@ def check_wavefunctions() -> CheckResult:
                     epsrel=1e-12,
                     limit=200,
                 )
-                worst_overlap = max(worst_overlap, abs(overlap) / (norms[na] * norms[nb]))
+                overlaps.append(abs(overlap) / (norms[na] * norms[nb]))
     nodes_ok = True
     r_fine = np.linspace(1e-3, 6.0, 4001)
     for n in range(3):
@@ -257,7 +279,7 @@ def check_wavefunctions() -> CheckResult:
     # the Laguerre recurrence against the paper's form, Gamma ratio times
     # 1F1; the error is relative to the largest |f| of the state, which
     # covers the cancellation of the alternating 1F1 sum
-    worst_paper = 0.0
+    paper_errors = []
     r_coarse = r_grid[::4].tolist()
     for ell in (0.0, 2.5):
         for n in range(11):
@@ -269,10 +291,10 @@ def check_wavefunctions() -> CheckResult:
                 want.append(y ** (0.5 * (ell + 1.0)) * math.exp(-0.5 * y) * prefactor * series)
             got = [spectrum.radial_wavefunction(p, n, ell, r) for r in r_coarse]
             scale = max(abs(w) for w in want)
-            worst_paper = max(worst_paper, max(abs(g - w) for g, w in zip(got, want)) / scale)
+            paper_errors.append(_worst(abs(g - w) for g, w in zip(got, want)) / scale)
     return _within(
         "radial wavefunctions: ODE residual, orthogonality, node counts, 1F1 form",
-        (("ode rel", worst_ode, 1e-5), ("overlap", worst_overlap, 1e-8), ("1F1 form", worst_paper, 1e-10)),
+        (("ode rel", worst_ode, 1e-5), ("overlap", _worst(overlaps), 1e-8), ("1F1 form", _worst(paper_errors), 1e-10)),
         ok=nodes_ok,
         note=f"nodes ok={nodes_ok}",
     )
@@ -290,6 +312,7 @@ ALL_CHECKS = (
     check_degeneracy,
     check_wavefunctions,
     info_em1d_variant_gap,
+    info_phase_transition_zeros,
 )
 
 

@@ -306,6 +306,12 @@ def test_exit_code_io_error(tmp_path):
         ({"subcommand": "spectrum", "m": -1}, 3),
         ({"subcommand": "spectrum", "case": "a2_only", "m": -1}, 3),
         ({"subcommand": "spectrum", "a3": 1e200}, 3),
+        # inputs that the run would ignore: no method, a method twice, and the
+        # alpha_max of a one-point grid
+        ({"subcommand": "partition", "alphas": [1], "methods": []}, 2),
+        ({"subcommand": "partition", "alphas": [1], "methods": ["direct", "em", "direct"]}, 2),
+        ({"subcommand": "sweep", "points": 1, "alpha_min": 1, "alpha_max": 2}, 2),
+        ({"subcommand": "sweep", "points": 1}, 2),
     ],
 )
 def test_bad_manifest_field_exit_code(tmp_path, capsys, fields, code):
@@ -503,6 +509,40 @@ def test_readme_module_table_lists_the_modules_of_the_package():
     assert sorted(table) == sorted(modules)
 
 
+CLAIM_STATUSES = ("reproduced", "not reproduced", "settled", "contradicted")
+
+
+def _ticked(cell):
+    """The backticked items of a ledger cell, which holds some or says none."""
+    items = re.findall(r"`([^`]*)`", cell)
+    assert items or cell == "none", cell
+    return items
+
+
+def test_readme_claims_ledger_names_golden_runs_and_verify_lines():
+    root = Path(__file__).resolve().parents[1]
+    golden = root / "tests" / "golden"
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Claims of the abstract", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (?!claim |---)(.*) \|$", section, re.MULTILINE)
+    runs = json.loads((golden / "runs.json").read_text(encoding="utf-8"))
+    cases = {" ".join(["ringosc", *run["argv"]]): name for name, run in runs.items()}
+    verify_lines = (golden / "verify.txt").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 8
+    for row in rows:
+        claim, commands, files, lines, status = row.split(" | ")
+        commands = _ticked(commands)
+        assert all(command in cases for command in commands), row
+        # each golden file is the output of one of the row's commands
+        names = {cases[command] for command in commands}
+        for file in _ticked(files):
+            path = root / file
+            assert path.parent == golden and path.stem in names and path.is_file(), file
+        for line in _ticked(lines):
+            assert any(text.startswith(f"{line}: measured=") for text in verify_lines), line
+        assert status.startswith(CLAIM_STATUSES), row
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -526,6 +566,25 @@ def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err
     assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # no method printed a bare alpha_bar column
+        (["partition", "--alpha", "1", "--methods", ","],
+         "manifest field 'methods' must name at least one method, each once; got ()"),
+        # a repeated method printed Z_direct twice and an rd_direct_direct column of zeros
+        (["partition", "--alpha", "1", "--methods", "direct,direct"],
+         "manifest field 'methods' must name at least one method, each once; got ('direct', 'direct')"),
+        # a grid of one point printed alpha_min alone and dropped alpha_max
+        (["sweep", "--points", "1", "--alpha-min", "1", "--alpha-max", "2"],
+         "a grid of 1 point is alpha_min alone, so alpha_max must equal it; got alpha_min=1.0, alpha_max=2.0"),
+    ],
+)
+def test_input_the_run_would_ignore_is_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -221,6 +221,52 @@ def test_radial_ladder_is_the_spectrum_of_the_schrodinger_operator(ell):
         assert abs(level - radial_energy_from_quantization(n, ell)) <= 1e-6 * level, (n, level)
 
 
+def operator_angular_ells(a2, a3, m, count=4):
+    """The count lowest ell of the separated theta equation, hbar = M = 1, in
+    Liouville form u = sqrt(sin theta) Theta:
+
+        -u'' + ((A + B - 1/4)/sin^2 theta - 1/4) u = (ell(ell + 1) + B) u
+
+    on (0, pi) with u = 0 at both ends, A = m^2 + 2 a2^2 and B = 2 a3^2:
+    second-order differences on 4000 and on 8000 interior points,
+    eigenvalues of each tridiagonal matrix, one Richardson step, and ell
+    as the root >= -1/2 of ell(ell + 1) = eigenvalue - B."""
+    from scipy.linalg import eigh_tridiagonal
+
+    big_a, big_b = m * m + 2.0 * a2 ** 2, 2.0 * a3 ** 2
+
+    def levels(points):
+        h = math.pi / (points + 1)
+        theta = h * np.arange(1, points + 1)
+        diagonal = 2.0 / h ** 2 + (big_a + big_b - 0.25) / np.sin(theta) ** 2 - 0.25
+        off = np.full(points - 1, -1.0 / h ** 2)
+        return eigh_tridiagonal(diagonal, off, eigvals_only=True, select="i", select_range=(0, count - 1))
+
+    eigenvalues = (4.0 * levels(8000) - levels(4000)) / 3.0
+    return -0.5 + np.sqrt(eigenvalues - big_b + 0.25), big_a, big_b
+
+
+# (a2, a3, m), each with A + B > 0; nu = sqrt(A + B) is at least 1, where the
+# differences converge at second order
+ANGULAR_OPERATOR_CASES = [(0.0, 0.0, 1), (0.7, 0.4, 1), (0.0, 1.0, 1), (1.0, 1.0, 2), (0.3, 0.0, 3)]
+
+
+def test_angular_constants_against_the_theta_operator():
+    # the operator's eigenvalues give ell = -1/2 + sqrt((s + nu + 1/2)^2 - B),
+    # nu = sqrt(A + B), where the paper's Lambda = sqrt(1 + A + B) gives
+    # ell_eff; the order of the eigenvalues pins s as the node count
+    gaps = []
+    for a2, a3, m in ANGULAR_OPERATOR_CASES:
+        ells, big_a, big_b = operator_angular_ells(a2, a3, m)
+        nu = math.sqrt(big_a + big_b)
+        p = PotentialParams(a1=1.0, a2=a2, a3=a3)
+        for s, ell in enumerate(ells):
+            assert abs(ell + 0.5 - math.sqrt((s + nu + 0.5) ** 2 - big_b)) <= 1e-6, (a2, a3, m, s)
+            gaps.append(angular_solution(p, s, m).ell_eff - ell)
+    # a measured fact, not a tolerance: the paper's ell_eff lies 0.16 to 0.41 above
+    assert (round(min(gaps), 2), round(max(gaps), 2)) == (0.16, 0.41)
+
+
 def test_energy_domain():
     with pytest.raises(DomainError):
         energy_over_xi(-1, 0)

@@ -6,6 +6,8 @@ import pickle
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringosc.errors import DomainError, UsageError
 from ringosc.partition import (
@@ -108,6 +110,44 @@ def test_direct_route_matches_mpmath_reference(mode):
         pt = thermo_point(float(alpha), mode=mode, z_method="direct")
         for name, want in mp_thermal(float(alpha), mode).items():
             assert getattr(pt, name) == pytest.approx(want, rel=1e-13, abs=0.0), (name, alpha)
+
+
+# the direct route's error bound: DIRECT_ULPS max(1, c/alpha) ulp of each
+# column, c/alpha being the condition number of x = e^(-c/alpha) in alpha;
+# where x is subnormal or rounds to 0 it carries an absolute error of up to
+# 2^-1074, which C = var/alpha^2 (var ~ 16 x in 3d, x in 1d) turns into the
+# absolute term UNDERFLOW_TERM/alpha^2
+DIRECT_ULPS = 6.0
+UNDERFLOW_TERM = 16.0 * 2.0 ** -1074
+
+
+def mp_closed_forms(alpha, mode):
+    """F, U, S, C of the exact ladder in 80-digit mpmath, from the closed forms
+    ``ladder_log_z_moments`` states: 1 - x through expm1, and its log through
+    log1p(-x) wherever x is small enough that 1 - x would round to 1."""
+    with mp.workdps(80):
+        a = mp.mpf(alpha)
+        neg_u = -(2 if mode == THREE_D else 1) / a
+        x, r = mp.exp(neg_u), -mp.expm1(neg_u)
+        log_r = mp.log1p(-x) if x < 0.5 else mp.log(r)
+        if mode == ONE_D:
+            log_z, mean, var = -log_r, x / r, x / r ** 2
+        else:
+            log_z = mp.log1p(x) - 3 * log_r
+            mean, var = 2 * (x / (1 + x) + 3 * x / r), 4 * (x / (1 + x) ** 2 + 3 * x / r ** 2)
+        return {"F_bar": -a * log_z, "U_bar": mean, "S_bar": log_z + mean / a, "C_bar": var / a ** 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from([THREE_D, ONE_D]), exponent=st.floats(-3.0, 100.0))
+def test_direct_route_within_its_error_bound(mode, exponent):
+    alpha = 10.0 ** exponent  # log-uniform over [1e-3, 1e100]
+    pt = thermo_point(alpha, mode=mode, z_method="direct")
+    ulps = DIRECT_ULPS * max(1.0, (2.0 if mode == THREE_D else 1.0) / alpha)
+    for name, want in mp_closed_forms(alpha, mode).items():
+        with mp.workdps(80):
+            error = float(abs(mp.mpf(getattr(pt, name)) - want))
+        assert error <= ulps * math.ulp(float(want)) + UNDERFLOW_TERM / alpha ** 2, (name, alpha, error)
 
 
 def test_free_energy_survives_z_rounding_to_one():
