@@ -14,7 +14,9 @@ definitions and double as wiring checks.  Two providers of ln Z:
 * ``direct`` evaluates the exact infinite ladder in closed form
   (``partition.ladder_log_z_moments``): ln Z itself, U as the mean
   excitation and C as its variance over alpha^2, O(1) per point at any
-  temperature.  ``partition_direct`` remains the term-by-term certified
+  temperature; where x = e^(-c/alpha) is subnormal or 0, U, S and C come
+  from their leading terms in x, formed in log space, so they keep their
+  digits.  ``partition_direct`` remains the term-by-term certified
   reference for it;
 * ``em`` uses the second-order Euler-Maclaurin form
   (``partition.em_z_derivatives``), whose derivatives are those of its
@@ -33,13 +35,14 @@ its single alpha, so a point and the matching sweep point agree bit for
 bit.  Sweep points are emitted in grid order.
 
 ``scan_jumps`` flags a step of C whose slope exceeds ``JUMP_THRESHOLD``
-times that of its neighbours, the signature of a first-order transition;
-``continuity_scan`` runs it on the C array the kernel gives for a grid,
-without building the sweep's points.
+times that of its neighbours, the signature of a first-order transition,
+and fails a NaN slope ratio; ``continuity_scan`` runs it on the C array
+the kernel gives for a grid, without building the sweep's points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -83,6 +86,10 @@ FD_STEP_REL = 1e-5  # relative step of the central differences
 JUMP_THRESHOLD = 10.0  # the slope ratio above which the jump scan flags a step
 POINTS_MAX = 10 ** 5  # the most points a grid of from_grid may have
 LEAST_FLOAT = 5e-324  # the least positive (subnormal) float
+LOG_LEAST_NORMAL = math.log(2.0 ** -1022)  # below it, x = e^(-c/alpha) is subnormal or 0
+# (c, k_Z, k_U, k_C) of each ladder: where x = e^(-c/alpha) leaves the normal
+# range, ln Z, U and C alpha^2 are k_Z x, k_U x and k_C x to the last bit
+SMALL_X_TERMS = {THREE_D: (2.0, 4.0, 8.0, 16.0), ONE_D: (1.0, 1.0, 1.0, 1.0)}
 # the alpha_bar range of each Euler-Maclaurin form, keyed by (mode, variant):
 # each end is a positive root of the numerator of the form's C, rounded
 # inward to 4 digits, so that C > 0 inside; Z > 0 there too (the 'paper'
@@ -127,6 +134,25 @@ def _check_em_alpha(mode, variant, alpha_bar):
                           f"where its C is positive; got alpha_bar={alpha_bar}")
 
 
+def _keep_small_x_digits(mode, a, u, s, c):
+    """U, S and C, each taken from its leading term in x = e^(-c/alpha),
+    formed in log space, wherever x itself is subnormal or 0:
+
+        U = exp(ln k_U - c/alpha),  S = exp(ln(k_Z alpha + k_U) - ln alpha - c/alpha),
+        C = exp(ln k_C - c/alpha - 2 ln alpha).
+
+    S takes ln alpha apart from k_U/alpha, which overflows at the least alphas.
+    """
+    c_x, k_z, k_u, k_c = SMALL_X_TERMS[mode]
+    small_x = np.less(a, c_x / -LOG_LEAST_NORMAL)
+    if not small_x.any():
+        return u, s, c
+    neg_u, log_a = -c_x / a, np.log(a)
+    forms = (np.exp(np.log(k_u) + neg_u), np.exp(np.log(k_z * a + k_u) - log_a + neg_u),
+             np.exp(np.log(k_c) + neg_u - 2.0 * log_a))
+    return tuple(np.where(small_x, form, value) for form, value in zip(forms, (u, s, c)))
+
+
 def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
     """(Z, F, U, S, C) elementwise at a, one alpha or a 1-d array of them."""
     if z_method == "em":
@@ -136,11 +162,13 @@ def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
     elif derivative_scheme == "analytic":
         log_z, u, var = ladder_log_z_moments(mode, a)
         # var > 0 only above alpha ~ 1e-3, where adding the least float leaves a * a
-        # as it is; below alpha ~ 1.57e-162 it keeps a * a above 0, so C is 0, not 0/0
-        return np.exp(log_z), -a * log_z, u, log_z + u / a, var / (a * a + LEAST_FLOAT)
+        # as it is; below alpha ~ 1.57e-162 it keeps a * a above 0, so the C that
+        # _keep_small_x_digits replaces there is 0, not 0/0 with a RuntimeWarning
+        u, s, c = _keep_small_x_digits(mode, a, u, log_z + u / a, var / (a * a + LEAST_FLOAT))
+        return np.exp(log_z), -a * log_z, u, s, c
     else:
         eta = FD_STEP_REL * a
-        g_plus, log_z, g_minus = (ladder_log_z_moments(mode, x)[0] for x in (a + eta, a, a - eta))
+        g_plus, log_z, g_minus = ladder_log_z_moments(mode, np.stack((a + eta, a, a - eta)))[0]
         g1 = (g_plus - g_minus) / (2.0 * eta)
         g2 = (g_plus - 2.0 * log_z + g_minus) / (eta * eta)
         z = np.exp(log_z)
@@ -260,7 +288,8 @@ def scan_jumps(alphas, cbar, jump_threshold: float = JUMP_THRESHOLD) -> Continui
     and sends its ratio orders of magnitude up.  The first and last steps
     are not judged, because their one neighbour differs through curvature
     alone.  ``passed`` means no step exceeded jump_threshold times its
-    neighbourhood, i.e. no first-order-transition signature.
+    neighbourhood, i.e. no first-order-transition signature; a NaN ratio
+    becomes ``max_ratio`` and fails, so a C that holds NaN is not smooth.
     """
     alphas = np.asarray(alphas, dtype=float)
     cbar = np.asarray(cbar, dtype=float)
@@ -272,7 +301,6 @@ def scan_jumps(alphas, cbar, jump_threshold: float = JUMP_THRESHOLD) -> Continui
     ratios = np.zeros_like(slopes)
     # the floor keeps a flat neighbourhood from dividing by zero
     ratios[1:-1] = slopes[1:-1] / np.maximum(0.5 * (slopes[:-2] + slopes[2:]), 1e-9)
-    ratios[np.isnan(ratios)] = 0.0  # a NaN ratio is not judged
     max_index = int(np.argmax(ratios))
     max_ratio = float(ratios[max_index])
     return ContinuityReport(max_ratio, float(alphas[max_index]), bool(max_ratio <= jump_threshold))

@@ -5,10 +5,10 @@ Each check pits one implementation route against an independent one
 analytic derivative vs finite difference, closed-form count vs
 brute-force loop) and reports the measured discrepancy next to its
 tolerance.  A check folds its measured errors with ``_worst``, which
-keeps a NaN, so a route that returns NaN fails.  Two informational
-entries never fail the run: the known gap between the two 1d closed-form
-variants, and the zeros of Z that settle the paper's phase-transition
-question.
+keeps a NaN, and ``_judged`` alone decides its pass, measured <= tol, so
+a route that returns NaN fails.  Two informational entries never fail
+the run: the known gap between the two 1d closed-form variants, and the
+zeros of Z that settle the paper's phase-transition question.
 
 ``ALL_CHECKS`` is the one implementation of the acceptance criteria, run
 one check per case by ``tests/test_acceptance.py``.  Each tolerance or
@@ -50,16 +50,18 @@ def _worst(errors) -> float:
     return float(np.max(np.fromiter(errors, dtype=float)))
 
 
-def _within(name: str, parts, ok: bool = True, note: str = "") -> CheckResult:
-    """A check of several (label, measured, tol) parts, each against its own tol.
+def _judged(name: str, measured: float, tol: float, info: str = "", ok: bool = True) -> CheckResult:
+    """The result of a check that can fail, and the one place that sets
+    ``passed``: ``ok`` holds and measured <= tol, which a NaN fails."""
+    return CheckResult(name, bool(ok and measured <= tol), measured, tol, info)
 
-    It passes when every measured value is below its tol and ``ok`` holds;
-    ``measured`` is the largest measured/tol, against a tolerance of 1.
-    """
+
+def _within(name: str, parts, ok: bool = True, note: str = "") -> CheckResult:
+    """A check of several (label, measured, tol) parts, each against its own tol:
+    ``measured`` is the largest measured/tol, against a tolerance of 1."""
     info = [f"{label}: {measured:.3e} (tol {tol:.0e})" for label, measured, tol in parts]
-    passed = ok and all(measured < tol for _, measured, tol in parts)
     worst_scaled = _worst(measured / tol for _, measured, tol in parts)
-    return CheckResult(name, passed, worst_scaled, 1.0, "; ".join(info + ([note] if note else [])))
+    return _judged(name, worst_scaled, 1.0, "; ".join(info + ([note] if note else [])), ok)
 
 
 def check_radial_spectrum() -> CheckResult:
@@ -67,13 +69,7 @@ def check_radial_spectrum() -> CheckResult:
     pairs = ((spectrum.energy_over_xi(n, ell), spectrum.radial_energy_from_quantization(n, ell))
              for n in range(4) for ell in range(4))
     worst = _worst(abs(found - target) / target for target, found in pairs)
-    return CheckResult(
-        "radial quantization reproduces E/xi = 4n + 2l + 3",
-        worst < tol,
-        worst,
-        tol,
-        "(n, l) in {0..3}^2",
-    )
+    return _judged("radial quantization reproduces E/xi = 4n + 2l + 3", worst, tol, "(n, l) in {0..3}^2")
 
 
 def check_angular_constants() -> CheckResult:
@@ -82,25 +78,15 @@ def check_angular_constants() -> CheckResult:
              for a2, a3 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)) for s in range(4) for m in range(4))
     pairs = ((spectrum.angular_solution(*case).L, spectrum.angular_constant_from_quantization(*case)) for case in cases)
     worst = _worst(abs(solved - closed_form) / abs(closed_form) for closed_form, solved in pairs)
-    return CheckResult(
-        "angular quantization reproduces the closed-form L",
-        worst < tol,
-        worst,
-        tol,
-        "s, m in {0..3}^2, (a2, a3) in {0,1}^2",
-    )
+    return _judged("angular quantization reproduces the closed-form L", worst, tol,
+                   "s, m in {0..3}^2, (a2, a3) in {0,1}^2")
 
 
 def check_em3d_rational() -> CheckResult:
     value = partition.em_z_derivatives(partition.THREE_D, Fraction(1))[0]
     exact = Fraction(79, 45)
-    return CheckResult(
-        "3d closed form at alpha = 1 equals 79/45 in rational arithmetic",
-        value == exact,
-        float(abs(value - exact)),
-        0.0,
-        f"value = {value}",
-    )
+    return _judged("3d closed form at alpha = 1 equals 79/45 in rational arithmetic",
+                   float(abs(value - exact)), 0.0, f"value = {value}", ok=value == exact)
 
 
 def check_em3d_vs_direct() -> CheckResult:
@@ -117,13 +103,7 @@ def check_em1d_vs_exact() -> CheckResult:
     pairs = ((partition.partition_closed_form(partition.ONE_D, a).Z, partition.partition_em(partition.ONE_D, a).Z)
              for a in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0))
     worst = _worst(abs(derived - exact) / exact for exact, derived in pairs)
-    return CheckResult(
-        "1d derived closed form vs exact geometric form",
-        worst < tol,
-        worst,
-        tol,
-        "alpha in {1..100}",
-    )
+    return _judged("1d derived closed form vs exact geometric form", worst, tol, "alpha in {1..100}")
 
 
 def info_em1d_variant_gap() -> CheckResult:
@@ -147,9 +127,9 @@ def info_phase_transition_zeros() -> CheckResult:
     # a transition at a real beta = 1/alpha needs zeros of Z that reach the real
     # beta axis there (Yang and Lee 1952); the 3d Z = (1 + x)/(1 - x)^3,
     # x = e^(-2 beta), vanishes only where 1 + x does, and the 1d Z = 1/(1 - x)
-    # nowhere; beta = -ln(x)/2 over every branch of the log
-    (x_zero,) = np.roots([1.0, 1.0])
-    distance = abs(np.log(complex(x_zero)).imag) / 2.0
+    # nowhere; beta = -ln(x)/2 over every branch of the log of x = -1 is
+    # i pi (k + 1/2), pi/2 from the real axis at the nearest
+    distance = math.pi / 2.0
     em_zeros = []
     for mode, variant in thermo.EM_ALPHA_RANGE:  # one key per Euler-Maclaurin table
         table = partition.em_coefficients(mode, variant)
@@ -203,7 +183,7 @@ def check_thermo_identities() -> CheckResult:
 
 def check_figure_shapes() -> CheckResult:
     notes = []
-    passed = True
+    ok = True
     # C tends to 3 (3d) and 1 (1d) at high temperature; the bound allows 1e-2 over that
     for mode, c_bound in ((partition.THREE_D, 3.0 + 1e-2), (partition.ONE_D, 1.0 + 1e-2)):
         spec = thermo.SweepSpec.from_grid(0.5, 100.0, 1200, "log", mode=mode, z_method="direct")
@@ -211,28 +191,17 @@ def check_figure_shapes() -> CheckResult:
         monotone = all(result.monotonicity.values())
         bounded = all(pt.C_bar <= c_bound for pt in result.points)
         scan = thermo.scan_jumps(spec.alphas, [pt.C_bar for pt in result.points])
-        passed = passed and monotone and bounded and scan.passed
+        ok = ok and monotone and bounded and scan.passed
         notes.append(
             f"{mode}: monotone={monotone}, C bounded={bounded} (bound {c_bound:g}), "
             f"max jump ratio={scan.max_ratio:.2f} (threshold {thermo.JUMP_THRESHOLD:g})"
         )
-    return CheckResult(
-        "figure shapes: monotone curves, bounded C, no jump signature",
-        passed,
-        0.0,
-        0.0,
-        "; ".join(notes),
-    )
+    return _judged("figure shapes: monotone curves, bounded C, no jump signature", 0.0, 0.0, "; ".join(notes), ok)
 
 
 def check_degeneracy() -> CheckResult:
     worst = _worst(abs(spectrum.degeneracy_sum(n_prime) - spectrum.degeneracy(n_prime)) for n_prime in range(51))
-    return CheckResult(
-        "degeneracy: brute-force sum equals (1 + n')^2 for n' <= 50",
-        worst == 0,
-        worst,
-        0.0,
-    )
+    return _judged("degeneracy: brute-force sum equals (1 + n')^2 for n' <= 50", worst, 0.0)
 
 
 def _radial_ode_residual(p, n, ell, r_grid, h=1e-4):

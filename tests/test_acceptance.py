@@ -10,6 +10,8 @@ below, so loosening one in ``verification.py`` fails the suite, and so
 does marking a check informational or dropping it from ``ALL_CHECKS``.
 """
 
+import ast
+import inspect
 import math
 import re
 
@@ -69,9 +71,13 @@ def test_check_passes_at_pinned_tolerances(check):
 NAN_ROUTES = {
     "check_radial_spectrum": (spectrum, "radial_energy_from_quantization", lambda n, ell: math.nan),
     "check_angular_constants": (spectrum, "angular_constant_from_quantization", lambda p, s, m: math.nan),
+    "check_em3d_vs_direct": (partition, "partition_direct", lambda spec: partition.PartitionValue(math.nan, "direct")),
     "check_em1d_vs_exact": (partition, "partition_em", lambda mode, a: partition.PartitionValue(math.nan, "em")),
+    "check_high_t_limits": (thermo, "thermo_point",
+                            lambda a, mode, z_method: thermo.ThermoPoint(a, *(math.nan,) * 5, z_method)),
     "check_thermo_identities": (thermo, "ladder_log_z_moments", lambda mode, a: (a * math.nan,) * 3),
     "check_wavefunctions": (spectrum, "radial_wavefunction", lambda p, n, ell, r: math.nan),
+    "check_degeneracy": (spectrum, "degeneracy_sum", lambda n_prime: math.nan),
 }
 
 
@@ -83,3 +89,25 @@ def test_check_fails_when_its_route_gives_nan(monkeypatch, name):
     result = getattr(verification, name)()
     assert result.passed is False
     assert math.isnan(result.measured)
+
+
+def test_only_the_judge_decides_a_pass():
+    # every CheckResult that verification.py builds comes from _judged, the one
+    # pass rule, or is an informational entry that passes by construction; so a
+    # new check cannot bring back a comparison of its own
+    def is_true(node):
+        return isinstance(node, ast.Constant) and node.value is True
+
+    def results_built(node):
+        return [call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "CheckResult"]
+
+    tree = ast.parse(inspect.getsource(verification))
+    builders = {func.name: results_built(func) for func in tree.body if isinstance(func, ast.FunctionDef)}
+    assert sum(map(len, builders.values())) == len(results_built(tree))
+    (judge,) = builders.pop("_judged")
+    assert not judge.keywords
+    for name, calls in builders.items():
+        for call in calls:
+            keywords = {kw.arg: kw.value for kw in call.keywords}
+            assert is_true(call.args[1]) and is_true(keywords.get("informational")), name

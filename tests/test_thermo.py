@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -114,11 +115,9 @@ def test_direct_route_matches_mpmath_reference(mode):
 
 # the direct route's error bound: DIRECT_ULPS max(1, c/alpha) ulp of each
 # column, c/alpha being the condition number of x = e^(-c/alpha) in alpha;
-# where x is subnormal or rounds to 0 it carries an absolute error of up to
-# 2^-1074, which C = var/alpha^2 (var ~ 16 x in 3d, x in 1d) turns into the
-# absolute term UNDERFLOW_TERM/alpha^2
+# it holds where x is subnormal or rounds to 0 too, since U, S and C are
+# formed there from their leading terms in log space, not from x
 DIRECT_ULPS = 6.0
-UNDERFLOW_TERM = 16.0 * 2.0 ** -1074
 
 
 def mp_closed_forms(alpha, mode):
@@ -147,7 +146,18 @@ def test_direct_route_within_its_error_bound(mode, exponent):
     for name, want in mp_closed_forms(alpha, mode).items():
         with mp.workdps(80):
             error = float(abs(mp.mpf(getattr(pt, name)) - want))
-        assert error <= ulps * math.ulp(float(want)) + UNDERFLOW_TERM / alpha ** 2, (name, alpha, error)
+        assert error <= ulps * math.ulp(float(want)), (name, alpha, error)
+
+
+@pytest.mark.parametrize("mode, alpha", [(THREE_D, 0.002684081281506844), (ONE_D, 0.001342040640753422)])
+def test_direct_route_keeps_digits_where_x_underflows(mode, alpha):
+    # x = e^(-c/alpha) rounds to 0 here, yet U, S and C are representable:
+    # formed from x, C was 0.0 for a true 5.48e-318 (3d) and 1.37e-318 (1d)
+    pt = thermo_point(alpha, mode=mode)
+    for name, want in mp_closed_forms(alpha, mode).items():
+        with mp.workdps(80):
+            assert abs(mp.mpf(getattr(pt, name)) - want) <= 2.0 ** -1074, (name, getattr(pt, name), want)
+    assert pt.C_bar > 0.0
 
 
 def test_free_energy_survives_z_rounding_to_one():
@@ -195,6 +205,14 @@ def loop_point(a, mode, z_method, scheme, lib, fd_step_rel=1e-5):
         if z_method == "direct":
             lz, u, var = ladder(a)
             z, c = lib.exp(lz), var / (a * a)
+            c_x = 2.0 if mode == THREE_D else 1.0
+            if a < c_x / -math.log(sys.float_info.min):  # x = e^(-c_x/a) is subnormal or 0
+                # U, S and C from their leading terms k_U x, (k_Z + k_U/a) x and k_C x/a^2
+                k_z, k_u, k_c = (4.0, 8.0, 16.0) if mode == THREE_D else (1.0, 1.0, 1.0)
+                u = lib.exp(lib.log(k_u) - c_x / a)
+                c = lib.exp(lib.log(k_c) - c_x / a - 2.0 * lib.log(a))
+                s = lib.exp(lib.log(k_z * a + k_u) - lib.log(a) - c_x / a)
+                return ThermoPoint(a, float(z), float(-a * lz), float(u), float(s), float(c), z_method)
         else:
             z, dz, d2z = em_z_derivatives(mode, a)
             g1 = dz / z
@@ -646,6 +664,13 @@ def test_scan_flags_injected_jump():
     report = scan_jumps(alphas, cbar, jump_threshold=10.0)
     assert not report.passed
     assert report.alpha_at_max == alphas[249]
+
+
+def test_scan_fails_a_nan_slope_ratio():
+    # a NaN ratio was set to 0, so a C column holding NaN read as smooth
+    report = scan_jumps([1, 2, 3, 4, 5, 6], [0, 1, 2, math.nan, 4, 5])
+    assert report.passed is False
+    assert math.isnan(report.max_ratio)
 
 
 def test_scan_mock_logarithmic_z_is_flat():
