@@ -30,6 +30,7 @@ Both series are geometric: with x = e^(-2/alpha) the 3d one is
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -77,6 +78,8 @@ CUTOFF_MAX = 2 ** 26  # the largest truncation index suggested_cutoff gives
 # CUTOFF_MAX), rounded down to 4 significant digits
 DIRECT_ALPHA_MAX = {THREE_D: 1.638e6, ONE_D: 1.445e6}
 BLOCK = 2 ** 16  # terms summed at once by partition_direct
+# (c, k) of each ladder: its scale c in x = e^(-c/alpha), and k in Z = 1 + k x + O(x^2)
+LADDER_TERMS = {THREE_D: (2.0, 4.0), ONE_D: (1.0, 1.0)}
 
 
 def _check_mode(mode: str) -> None:
@@ -123,8 +126,8 @@ class PartitionValue:
 
 def _ratio(mode: str, alpha_bar: float) -> tuple[float, float]:
     """x = e^(-c/alpha), the common ratio of successive terms (ignoring
-    weights), and 1 - x without cancellation; c = 2 (3d) or 1 (1d)."""
-    u = (2.0 if mode == THREE_D else 1.0) / alpha_bar
+    weights), and 1 - x without cancellation; c from ``LADDER_TERMS``."""
+    u = LADDER_TERMS[mode][0] / alpha_bar
     return math.exp(-u), -math.expm1(-u)
 
 
@@ -148,10 +151,10 @@ def suggested_cutoff(mode: str, alpha_bar: float) -> int:
     TAIL_RTOL; a ``ConvergenceError`` where that index exceeds CUTOFF_MAX.
 
     Uses Z >= 1 (the first retained term), so a tail bound below
-    TAIL_RTOL is below TAIL_RTOL times the partial sum.  The search
-    doubles n from 16 until the bound holds and then bisects between n/2,
-    taken as failing, and n; from 16 that lower end, 8, is never tested,
-    so where an index below 9 would do, the result is 9.
+    TAIL_RTOL is below TAIL_RTOL times the partial sum.  The search is a
+    doubling bracket from n = 16 until the bound holds, then ``bisect``
+    between n/2, taken as failing, and n; from 16 that lower end, 8, is
+    never tested, so where an index below 9 would do, the result is 9.
     """
     _check_mode(mode)
     _check_alpha(alpha_bar)
@@ -161,22 +164,14 @@ def suggested_cutoff(mode: str, alpha_bar: float) -> int:
         hi *= 2
         if hi > CUTOFF_MAX:
             raise ConvergenceError(f"tail bound will not reach {TAIL_RTOL} at alpha={alpha_bar}")
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _tail_bound(mode, mid, x, r) > TAIL_RTOL:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return bisect.bisect_left(range(hi), True, hi // 2 + 1, key=lambda n: _tail_bound(mode, n, x, r) <= TAIL_RTOL)
 
 
 def _series_terms(mode: str, alpha_bar: float, start: int, stop: int) -> np.ndarray:
     """Terms start to stop - 1 of the Boltzmann series."""
     idx = np.arange(start, stop, dtype=float)
-    if mode == THREE_D:
-        return (1.0 + idx) ** 2 * np.exp(-2.0 * idx / alpha_bar)
-    return np.exp(-idx / alpha_bar)
+    terms = np.exp(-LADDER_TERMS[mode][0] * idx / alpha_bar)
+    return (1.0 + idx) ** 2 * terms if mode == THREE_D else terms
 
 
 def partition_direct(spec: PartitionSpec) -> PartitionValue:
@@ -212,7 +207,7 @@ def ladder_log_z_moments(mode: str, alpha_bar):
     exact infinite ladder, in closed form, at one alpha or elementwise over
     an array of them.
 
-    With x = e^(-c/alpha), c = 2 (3d) or 1 (1d), and L = log(1 - x):
+    With x = e^(-c/alpha), c from ``LADDER_TERMS``, and L = log(1 - x):
 
         3d (e = 2n'): ln Z = log1p(x) - 3L,  mean = 2 (x/(1+x) + 3x/(1-x)),
                       var = 4 (x/(1+x)^2 + 3x/(1-x)^2);
@@ -224,8 +219,9 @@ def ladder_log_z_moments(mode: str, alpha_bar):
     """
     _check_mode(mode)
     _check_alpha(alpha_bar)
+    c = LADDER_TERMS[mode][0]  # the 3d excitation step too, e = c n'
     # -c/alpha, formed once: a rounded quotient changes sign with its numerator
-    neg_u = (-2.0 if mode == THREE_D else -1.0) / alpha_bar
+    neg_u = -c / alpha_bar
     x = np.exp(neg_u)
     r = -np.expm1(neg_u)  # 1 - x without cancellation
     # log(r) loses the x term once r rounds to 1; log1p(-x) cancels near x = 1.
@@ -237,7 +233,7 @@ def ladder_log_z_moments(mode: str, alpha_bar):
         return -log_r, mean, var
     one_x = 1.0 + x
     p = x / one_x
-    return np.log1p(x) - 3.0 * log_r, 2.0 * (p + 3.0 * mean), 4.0 * (p / one_x + 3.0 * var)
+    return np.log1p(x) - 3.0 * log_r, c * (p + 3.0 * mean), c * c * (p / one_x + 3.0 * var)
 
 
 # the tables em_coefficients states, keyed by (mode, variant)

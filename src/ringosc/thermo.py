@@ -52,6 +52,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .partition import (
     ALPHA_MAX,
+    LADDER_TERMS,
     ONE_D,
     THREE_D,
     VARIANT_DERIVED,
@@ -87,9 +88,6 @@ JUMP_THRESHOLD = 10.0  # the slope ratio above which the jump scan flags a step
 POINTS_MAX = 10 ** 5  # the most points a grid of from_grid may have
 LEAST_FLOAT = 5e-324  # the least positive (subnormal) float
 LOG_LEAST_NORMAL = math.log(2.0 ** -1022)  # below it, x = e^(-c/alpha) is subnormal or 0
-# (c, k_Z, k_U, k_C) of each ladder: where x = e^(-c/alpha) leaves the normal
-# range, ln Z, U and C alpha^2 are k_Z x, k_U x and k_C x to the last bit
-SMALL_X_TERMS = {THREE_D: (2.0, 4.0, 8.0, 16.0), ONE_D: (1.0, 1.0, 1.0, 1.0)}
 # the alpha_bar range of each Euler-Maclaurin form, keyed by (mode, variant):
 # each end is a positive root of the numerator of the form's C, rounded
 # inward to 4 digits, so that C > 0 inside; Z > 0 there too (the 'paper'
@@ -136,17 +134,20 @@ def _check_em_alpha(mode, variant, alpha_bar):
 
 def _keep_small_x_digits(mode, a, u, s, c):
     """U, S and C, each taken from its leading term in x = e^(-c/alpha),
-    formed in log space, wherever x itself is subnormal or 0:
+    formed in log space, wherever x is subnormal or 0.  There ln Z, U and C
+    alpha^2 are k_Z x, k_U x and k_C x to the last bit, k_U = c k_Z, k_C = c^2 k_Z:
 
         U = exp(ln k_U - c/alpha),  S = exp(ln(k_Z alpha + k_U) - ln alpha - c/alpha),
         C = exp(ln k_C - c/alpha - 2 ln alpha).
 
     S takes ln alpha apart from k_U/alpha, which overflows at the least alphas.
+    (c, k_Z) is the ladder's row of ``partition.LADDER_TERMS``.
     """
-    c_x, k_z, k_u, k_c = SMALL_X_TERMS[mode]
+    c_x, k_z = LADDER_TERMS[mode]
     small_x = np.less(a, c_x / -LOG_LEAST_NORMAL)
     if not small_x.any():
         return u, s, c
+    k_u, k_c = c_x * k_z, c_x * c_x * k_z
     neg_u, log_a = -c_x / a, np.log(a)
     forms = (np.exp(np.log(k_u) + neg_u), np.exp(np.log(k_z * a + k_u) - log_a + neg_u),
              np.exp(np.log(k_c) + neg_u - 2.0 * log_a))

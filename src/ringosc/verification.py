@@ -182,7 +182,7 @@ def check_thermo_identities() -> CheckResult:
 
 
 def check_figure_shapes() -> CheckResult:
-    notes = []
+    notes, ratios = [], []
     ok = True
     # C tends to 3 (3d) and 1 (1d) at high temperature; the bound allows 1e-2 over that
     for mode, c_bound in ((partition.THREE_D, 3.0 + 1e-2), (partition.ONE_D, 1.0 + 1e-2)):
@@ -191,12 +191,14 @@ def check_figure_shapes() -> CheckResult:
         monotone = all(result.monotonicity.values())
         bounded = all(pt.C_bar <= c_bound for pt in result.points)
         scan = thermo.scan_jumps(spec.alphas, [pt.C_bar for pt in result.points])
-        ok = ok and monotone and bounded and scan.passed
+        ok = ok and monotone and bounded
+        ratios.append(scan.max_ratio)
         notes.append(
             f"{mode}: monotone={monotone}, C bounded={bounded} (bound {c_bound:g}), "
             f"max jump ratio={scan.max_ratio:.2f} (threshold {thermo.JUMP_THRESHOLD:g})"
         )
-    return _judged("figure shapes: monotone curves, bounded C, no jump signature", 0.0, 0.0, "; ".join(notes), ok)
+    return _judged("figure shapes: monotone curves, bounded C, no jump signature", _worst(ratios),
+                   thermo.JUMP_THRESHOLD, "; ".join(notes), ok)
 
 
 def check_degeneracy() -> CheckResult:

@@ -38,7 +38,7 @@ PINNED = {
     # c06: U = F + alpha S and C = dU/dalpha
     "check_thermo_identities": (1.0, (("tol", 1e-9), ("tol", 1e-5))),
     # c07: figure shapes on alpha in [0.5, 100], 3d then 1d
-    "check_figure_shapes": (0.0, (("bound", 3.01), ("threshold", 10.0), ("bound", 1.01), ("threshold", 10.0))),
+    "check_figure_shapes": (10.0, (("bound", 3.01), ("threshold", 10.0), ("bound", 1.01), ("threshold", 10.0))),
     # c08: radial ODE residual, orthogonality, node counts, and the Laguerre
     # recurrence against the paper's Gamma-ratio times 1F1 form
     "check_wavefunctions": (1.0, (("tol", 1e-5), ("tol", 1e-8), ("tol", 1e-10))),
@@ -73,6 +73,7 @@ NAN_ROUTES = {
     "check_angular_constants": (spectrum, "angular_constant_from_quantization", lambda p, s, m: math.nan),
     "check_em3d_vs_direct": (partition, "partition_direct", lambda spec: partition.PartitionValue(math.nan, "direct")),
     "check_em1d_vs_exact": (partition, "partition_em", lambda mode, a: partition.PartitionValue(math.nan, "em")),
+    "check_figure_shapes": (thermo, "scan_jumps", lambda alphas, cbar: thermo.ContinuityReport(math.nan, 0.0, False)),
     "check_high_t_limits": (thermo, "thermo_point",
                             lambda a, mode, z_method: thermo.ThermoPoint(a, *(math.nan,) * 5, z_method)),
     "check_thermo_identities": (thermo, "ladder_log_z_moments", lambda mode, a: (a * math.nan,) * 3),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ringosc
-from ringosc import partition, verification
+from ringosc import partition, spectrum, verification
 from ringosc.cli import _CHOICES, FIGURES, SPECTRUM_ROWS_MAX, RunManifest, build_parser, main, render_csv, run
 from ringosc.errors import UsageError
 from ringosc.thermo import POINTS_MAX, SweepSpec
@@ -609,6 +609,17 @@ def test_verify_passes(capsys):
     assert "0 failed" in out
     assert "[INFO]" in out  # the 1d variant gap is reported, not failed
     assert "-alpha^3/5400" in out
+
+
+def test_verify_reports_a_failed_check_and_exits_1(monkeypatch, capsys):
+    # one wrong brute-force count fails the degeneracy check, and only it
+    monkeypatch.setattr(spectrum, "degeneracy_sum", lambda n_prime: (1 + n_prime) ** 2 + 1)
+    rc = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] degeneracy: brute-force sum equals (1 + n')^2 for n' <= 50: measured=1.000e+00 tol=0.000e+00"]
+    assert lines[-1].endswith(" checks, 1 failed")
 
 
 def test_verify_detects_perturbed_closed_form(monkeypatch):

@@ -235,6 +235,12 @@ def test_angular_root_costs_three_evaluations(monkeypatch, s, m):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
+def test_solve_bracketed_needs_lo_below_hi(lo, hi):
+    with pytest.raises(DomainError, match="^need lo < hi"):
+        solve_bracketed(lambda x: x - 0.5, lo, hi)
+
+
 def test_solve_bracketed_no_root():
     with pytest.raises(ConvergenceError):
         solve_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)

@@ -30,6 +30,7 @@ from ringosc.partition import (
     partition_em,
     suggested_cutoff,
 )
+from ringosc.thermo import EM_ALPHA_RANGE
 
 
 def closed_form_3d(alpha):
@@ -507,6 +508,19 @@ def test_em_1d_derived_is_the_laurent_series_cut_after_t3():
     assert -4 not in series and series[-5] == Fraction(1, 30240)
     assert exact_minus_em(ONE_D, 1.0) == pytest.approx(3.23e-5, abs=5e-8)
     assert exact_minus_em(ONE_D, 10.0) == pytest.approx(3.31e-10, abs=5e-13)
+
+
+def test_em_1d_derived_gap_within_its_bernoulli_bound():
+    # the gap is the series past t^3, sum_{k>=3} B_2k/(2k)! t^(2k-1), t = 1/alpha; with
+    # |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)^2k and zeta(2k) <= zeta(6) = pi^6/945 it is at most
+    # (t^5/30240)/(1 - (t/2 pi)^2), a geometric series that converges for t < 2 pi
+    alphas = np.geomspace(EM_ALPHA_RANGE[ONE_D, VARIANT_DERIVED][0], 1e4, 1000)
+    t = 1.0 / alphas
+    bound = t ** 5 / 30240 / (1.0 - (t / (2.0 * math.pi)) ** 2)
+    ratios = np.array([exact_minus_em(ONE_D, alpha) for alpha in alphas]) / bound
+    # the leading term t^5/30240 is the whole gap as alpha grows, so the bound is tight there
+    assert ratios.min() > 0.45 and ratios.max() <= 1.0
+    assert ratios[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_em_3d_derived_leaves_t3_over_189_of_the_laurent_series():

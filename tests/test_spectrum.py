@@ -272,6 +272,9 @@ def test_energy_domain():
         energy_over_xi(-1, 0)
     with pytest.raises(DomainError):
         energy_over_xi(0, -0.5)
+    for N in (-2, 0.5):
+        with pytest.raises(DomainError, match="^N must be a non-negative integer"):
+            energy_over_xi_special_case(NATURAL, "oscillator", N, 0, 0)
 
 
 # ---------------------------------------------------------- special cases
@@ -348,6 +351,13 @@ def test_special_case_param_mismatch():
 def test_degeneracy_values():
     assert degeneracy(0) == 1
     assert degeneracy(2) == 9
+
+
+@pytest.mark.parametrize("count", [degeneracy, degeneracy_sum])
+@pytest.mark.parametrize("n_prime", [-1, 1.5])
+def test_degeneracy_domain(count, n_prime):
+    with pytest.raises(DomainError, match="^n_prime must be a non-negative integer"):
+        count(n_prime)
 
 
 def test_degeneracy_brute_force_agreement():

@@ -22,6 +22,7 @@ from ringosc.partition import (
 )
 from ringosc.thermo import (
     EM_ALPHA_RANGE,
+    ContinuityReport,
     SweepSpec,
     ThermoPoint,
     continuity_scan,
@@ -566,6 +567,8 @@ def test_sweep_spec_validation():
         SweepSpec.from_grid(1.0, 2.0, 5, "cubic")
     with pytest.raises(UsageError):
         SweepSpec.from_grid(1.0, 1.0, 1, "cubic")  # checked on a one-point grid too
+    with pytest.raises(UsageError, match="^derivative_scheme must be one of"):
+        SweepSpec(alphas=(1.0,), derivative_scheme="forward")
     # a central difference steps past the last alpha, which must leave it in range
     with pytest.raises(DomainError, match="got alpha_bar=1e\\+100$"):
         SweepSpec((1.0, ALPHA_MAX), derivative_scheme="central_difference")
@@ -655,6 +658,19 @@ def test_scan_constant_input_has_zero_jumps():
     report = scan_jumps(alphas, np.full_like(alphas, 1.7), jump_threshold=10.0)
     assert report.passed
     assert report.max_ratio == 0.0
+
+
+@pytest.mark.parametrize("points", [2, 1, 0])
+def test_scan_of_fewer_than_3_points_judges_no_step(points):
+    # no step has a neighbour on each side
+    alphas = np.linspace(1.0, 10.0, points)
+    assert scan_jumps(alphas, np.tanh(alphas)) == ContinuityReport(0.0, alphas[0] if points else 0.0, True)
+
+
+@pytest.mark.parametrize("alphas, cbar", [([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])])
+def test_scan_rejects_unequal_or_non_1d_input(alphas, cbar):
+    with pytest.raises(UsageError, match="^alphas and cbar must be 1-d arrays of equal length$"):
+        scan_jumps(alphas, cbar)
 
 
 def test_scan_flags_injected_jump():
