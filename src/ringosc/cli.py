@@ -57,7 +57,14 @@ FIGURES = {
     "f5": ("alpha_bar", "F_bar", "U_bar", "S_bar", "C_bar"),
 }
 
-PARTITION_METHODS = ("direct", "em", "em-paper", "exact")
+# each method of partition and its route to Z at (mode, alpha); 'exact' is the geometric closed form
+PARTITION_ROUTES = {
+    "direct": lambda mode, alpha: partition_direct(PartitionSpec(mode, alpha)),
+    "em": partition_em,
+    "em-paper": lambda mode, alpha: partition_em(mode, alpha, VARIANT_PAPER),
+    "exact": partition_closed_form,
+}
+PARTITION_METHODS = tuple(PARTITION_ROUTES)
 SPECTRUM_ROWS_MAX = 10 ** 5  # the most rows a level table of spectrum may have
 FORMATS = ("csv", "json")
 ELL_MODES = ("integer", "real")
@@ -281,18 +288,6 @@ def cmd_spectrum(manifest: RunManifest) -> int:
     return 0
 
 
-def _partition_value(method: str, manifest: RunManifest, alpha: float):
-    if method == "direct":
-        return partition_direct(PartitionSpec(manifest.mode, alpha))
-    if method == "em":
-        return partition_em(manifest.mode, alpha)
-    if method == "em-paper":
-        # the alternate form exists for the 1d ladder only
-        return partition_em(manifest.mode, alpha, VARIANT_PAPER)
-    # 'exact', the geometric closed form
-    return partition_closed_form(manifest.mode, alpha)
-
-
 def cmd_partition(manifest: RunManifest) -> int:
     """partition-function comparison"""
     if not manifest.alphas:
@@ -302,7 +297,7 @@ def cmd_partition(manifest: RunManifest) -> int:
     columns = ["alpha_bar"] + [f"Z_{name}" for name in names] + [f"rd_{names[i]}_{names[j]}" for i, j in pairs]
     rows = []
     for alpha in manifest.alphas:
-        values = [_partition_value(m, manifest, alpha).Z for m in manifest.methods]
+        values = [PARTITION_ROUTES[m](manifest.mode, alpha).Z for m in manifest.methods]
         for _, j in pairs:
             if values[j] == 0.0:
                 raise DomainError(f"Z of method '{manifest.methods[j]}' is 0 at alpha_bar={alpha}, "

@@ -168,9 +168,12 @@ def suggested_cutoff(mode: str, alpha_bar: float) -> int:
 
 
 def _series_terms(mode: str, alpha_bar: float, start: int, stop: int) -> np.ndarray:
-    """Terms start to stop - 1 of the Boltzmann series."""
+    """Terms start to stop - 1 of the Boltzmann series.  Below alpha ~ 1e-308
+    the exponent -c n/alpha of a term past the first overflows to -inf, and
+    e^-inf = 0 is that term in floats, so the overflow is no fault to warn of."""
     idx = np.arange(start, stop, dtype=float)
-    terms = np.exp(-LADDER_TERMS[mode][0] * idx / alpha_bar)
+    with np.errstate(over="ignore"):
+        terms = np.exp(-LADDER_TERMS[mode][0] * idx / alpha_bar)
     return (1.0 + idx) ** 2 * terms if mode == THREE_D else terms
 
 

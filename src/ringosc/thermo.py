@@ -81,7 +81,8 @@ __all__ = [
 ]
 
 Z_METHODS = ("direct", "em")
-SPACINGS = ("log", "lin")
+_GRIDS = {"log": np.geomspace, "lin": np.linspace}  # the grid of each spacing of from_grid
+SPACINGS = tuple(_GRIDS)
 DERIVATIVE_SCHEMES = ("analytic", "central_difference")
 FD_STEP_REL = 1e-5  # relative step of the central differences
 JUMP_THRESHOLD = 10.0  # the slope ratio above which the jump scan flags a step
@@ -111,7 +112,9 @@ class ThermoPoint(NamedTuple):
     method: str
 
 
-def _check_options(mode, z_method, derivative_scheme, variant):
+def _check_route(mode, z_method, derivative_scheme, variant, ends):
+    """Refuse a route the kernel does not have, or an alpha of ``ends``, a point's alpha
+    or a grid's two ends, already in (0, ALPHA_MAX], that the route cannot take."""
     _check_mode(mode)
     if z_method not in Z_METHODS:
         raise UsageError(f"z_method must be one of {Z_METHODS}, got {z_method!r}")
@@ -121,15 +124,16 @@ def _check_options(mode, z_method, derivative_scheme, variant):
         raise UsageError(f"derivative_scheme {derivative_scheme!r} takes only the z_method 'direct', got {z_method!r}")
     if z_method == "em":
         em_coefficients(mode, variant)  # rejects a variant the form does not have
+        lo, hi = EM_ALPHA_RANGE[mode, variant]
+        for a in ends:
+            if not lo <= a <= hi:
+                raise DomainError(f"the {mode} {variant!r} Euler-Maclaurin form takes alpha_bar in [{lo:g}, {hi:g}], "
+                                  f"where its C is positive; got alpha_bar={a}")
     elif variant != VARIANT_DERIVED:
         raise UsageError(f"z_method 'direct' takes only the variant 'derived', got {variant!r}")
-
-
-def _check_em_alpha(mode, variant, alpha_bar):
-    lo, hi = EM_ALPHA_RANGE[mode, variant]
-    if not lo <= alpha_bar <= hi:
-        raise DomainError(f"the {mode} {variant!r} Euler-Maclaurin form takes alpha_bar in [{lo:g}, {hi:g}], "
-                          f"where its C is positive; got alpha_bar={alpha_bar}")
+    if derivative_scheme == "central_difference" and ends and ends[-1] + FD_STEP_REL * ends[-1] > ALPHA_MAX:
+        raise DomainError(f"central differences evaluate ln Z at alpha_bar (1 + {FD_STEP_REL:g}), at most "
+                          f"{ALPHA_MAX:g}; got alpha_bar={ends[-1]}")
 
 
 def _keep_small_x_digits(mode, a, u, s, c):
@@ -178,12 +182,20 @@ def _thermo_arrays(a, mode, z_method, derivative_scheme, variant):
     return z, -a * log_z, u, log_z + u / a, 2.0 * a * g1 + a * a * g2
 
 
+def _grid_arrays(spec):
+    """(Z, F, U, S, C) over the grid of ``spec``.  Below alpha ~ 1e-308,
+    -c/alpha overflows to -inf, whose x = e^(-c/alpha) is the 0 the ladder
+    has there, so the overflow is no fault to warn of; a point's division
+    is of Python floats, which never warn."""
+    with np.errstate(over="ignore"):
+        return _thermo_arrays(np.array(spec.alphas), spec.mode, spec.z_method, spec.derivative_scheme, spec.variant)
+
+
 def thermo_point(alpha_bar: float, mode: str = THREE_D, z_method: str = "direct") -> ThermoPoint:
     """Z and analytic (F, U, S, C) at one temperature; ``sweep`` takes the other schemes and variants."""
-    _check_options(mode, z_method, "analytic", VARIANT_DERIVED)
     a = float(alpha_bar)
-    if z_method == "em":
-        _check_em_alpha(mode, VARIANT_DERIVED, a)
+    _check_alpha(a)
+    _check_route(mode, z_method, "analytic", VARIANT_DERIVED, (a,))
     values = _thermo_arrays(a, mode, z_method, "analytic", VARIANT_DERIVED)
     return tuple.__new__(ThermoPoint, (a, *map(float, values), z_method))
 
@@ -204,15 +216,8 @@ class SweepSpec:
         _check_alpha(np.array(alphas))
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise DomainError("alpha grid must be strictly increasing")
-        _check_options(self.mode, self.z_method, self.derivative_scheme, self.variant)
         # the grid increases, so its ends bound every alpha the kernel evaluates
-        ends = alphas[:1] + alphas[-1:]
-        if self.z_method == "em":
-            for a in ends:
-                _check_em_alpha(self.mode, self.variant, a)
-        if self.derivative_scheme == "central_difference" and ends and ends[-1] + FD_STEP_REL * ends[-1] > ALPHA_MAX:
-            raise DomainError(f"central differences evaluate ln Z at alpha_bar (1 + {FD_STEP_REL:g}), at most "
-                              f"{ALPHA_MAX:g}; got alpha_bar={ends[-1]}")
+        _check_route(self.mode, self.z_method, self.derivative_scheme, self.variant, alphas[:1] + alphas[-1:])
 
     @staticmethod
     def from_grid(alpha_min, alpha_max, points, spacing="log", **kwargs) -> "SweepSpec":
@@ -222,11 +227,7 @@ class SweepSpec:
             raise DomainError(f"need 0 < alpha_min <= alpha_max <= {ALPHA_MAX:g}, got [{alpha_min}, {alpha_max}]")
         if spacing not in SPACINGS:
             raise UsageError(f"spacing must be one of {SPACINGS}, got {spacing!r}")
-        if spacing == "log":
-            grid = np.geomspace(alpha_min, alpha_max, points)
-        else:
-            grid = np.linspace(alpha_min, alpha_max, points)
-        return SweepSpec(alphas=tuple(float(a) for a in grid), **kwargs)
+        return SweepSpec(alphas=_GRIDS[spacing](alpha_min, alpha_max, points), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     at low alpha the Boltzmann factor underflows and F, U and S are exact
     zeros at several grid points.
     """
-    arrays = _thermo_arrays(np.array(spec.alphas), spec.mode, spec.z_method, spec.derivative_scheme, spec.variant)
+    arrays = _grid_arrays(spec)
     _, f, u, s, c = arrays
     slack = 1e-12
     monotonicity = {
@@ -314,5 +315,5 @@ def continuity_scan(spec: SweepSpec, jump_threshold: float = JUMP_THRESHOLD) -> 
     ``sweep`` turns into its points, so it builds no points and no
     monotonicity flags; a caller that already holds the sweep calls
     ``scan_jumps`` on its C column and gets the same report."""
-    c = _thermo_arrays(np.array(spec.alphas), spec.mode, spec.z_method, spec.derivative_scheme, spec.variant)[4]
+    c = _grid_arrays(spec)[4]
     return scan_jumps(spec.alphas, c, jump_threshold)

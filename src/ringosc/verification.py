@@ -56,6 +56,11 @@ def _judged(name: str, measured: float, tol: float, info: str = "", ok: bool = T
     return CheckResult(name, bool(ok and measured <= tol), measured, tol, info)
 
 
+def _info(name: str, measured: float, info: str) -> CheckResult:
+    """An informational result, which states ``measured`` and never fails the run."""
+    return CheckResult(name, True, measured, math.inf, info, informational=True)
+
+
 def _within(name: str, parts, ok: bool = True, note: str = "") -> CheckResult:
     """A check of several (label, measured, tol) parts, each against its own tol:
     ``measured`` is the largest measured/tol, against a tolerance of 1."""
@@ -110,17 +115,11 @@ def info_em1d_variant_gap() -> CheckResult:
     derived = partition.partition_em(partition.ONE_D, 1.0).Z
     alt = partition.partition_em(partition.ONE_D, 1.0, partition.VARIANT_PAPER).Z
     gap = abs(alt - derived) / derived
-    return CheckResult(
-        "1d closed-form variant gap (informational)",
-        True,
-        gap,
-        math.inf,
-        "the 'paper' variant tail -alpha^3/5400 does not follow from the "
-        "summation formula at any order (the assembly gives -1/(720 alpha^3)); "
-        f"rel gap at alpha=1 is {gap:.3e} and that variant turns negative "
-        "beyond alpha ~ 73.7",
-        informational=True,
-    )
+    return _info("1d closed-form variant gap (informational)", gap,
+                 "the 'paper' variant tail -alpha^3/5400 does not follow from the "
+                 "summation formula at any order (the assembly gives -1/(720 alpha^3)); "
+                 f"rel gap at alpha=1 is {gap:.3e} and that variant turns negative "
+                 "beyond alpha ~ 73.7")
 
 
 def info_phase_transition_zeros() -> CheckResult:
@@ -137,17 +136,11 @@ def info_phase_transition_zeros() -> CheckResult:
         roots = np.roots([float(table.get(k, 0)) for k in range(max(table), -4, -1)])
         (root,) = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
         em_zeros.append(f"{root:.4g} ({mode} {variant})")
-    return CheckResult(
-        "zeros of Z: no phase transition on the exact ladders (informational)",
-        True,
-        distance,
-        math.inf,
-        "the 3d ladder's Z vanishes only at beta = i pi (k + 1/2), "
-        f"{distance:.3f} from the real beta axis, and the 1d ladder's Z nowhere; "
-        f"the real positive zeros of alpha^3 Z_em, {', '.join(em_zeros)}, come from truncating "
-        "the Euler-Maclaurin forms, not from the ladders",
-        informational=True,
-    )
+    return _info("zeros of Z: no phase transition on the exact ladders (informational)", distance,
+                 "the 3d ladder's Z vanishes only at beta = i pi (k + 1/2), "
+                 f"{distance:.3f} from the real beta axis, and the 1d ladder's Z nowhere; "
+                 f"the real positive zeros of alpha^3 Z_em, {', '.join(em_zeros)}, come from truncating "
+                 "the Euler-Maclaurin forms, not from the ladders")
 
 
 def check_high_t_limits() -> CheckResult:

@@ -111,6 +111,18 @@ def test_partition_zero_z_against_a_nonzero_reference(capsys):
     assert capsys.readouterr() == ("alpha_bar,Z_em,Z_exact,rd_em_exact\n0.16160013100525239,0,1.0000168708421993,-1\n", "")
 
 
+
+def test_subnormal_alpha_runs_print_no_warning(capsys):
+    # below alpha ~ 1e-308, -c/alpha overflows to -inf, whose term is 0: the values
+    # were right, but numpy printed a RuntimeWarning for it on stderr
+    assert main(["partition", "--alpha", "1e-320", "--methods", "direct"]) == 0
+    assert capsys.readouterr() == ("alpha_bar,Z_direct\n9.9998886718268301e-321,1\n", "")
+    assert main(["sweep", "--mode", "1d", "--alpha-min", "1e-320", "--alpha-max", "1e-300", "--points", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [f"{a},-0,0,0,0" for a in ("9.9998886718268301e-321", "9.9999443357594983e-311",
+                                                               "1e-300")]
+    assert err.startswith("summary: ") and err.count("\n") == 1
+
 def test_partition_requires_alpha():
     rc = main(["partition", "--alpha", "", "--methods", "direct"])
     assert rc == 2

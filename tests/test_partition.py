@@ -533,6 +533,27 @@ def test_em_3d_derived_leaves_t3_over_189_of_the_laurent_series():
     assert exact_minus_em(THREE_D, 100.0) == pytest.approx(5.24e-9, abs=5e-12)
 
 
+
+def test_em_3d_derived_gap_past_t3_over_189_within_its_cauchy_bound():
+    # past t^3/189 the gap is the Taylor tail sum_{k>=4} r_k t^k, t = 1/alpha, of the
+    # regular part R = Z - 1/(4t^3) - 1/(2t^2) - 1/(2t) of the closed form, analytic
+    # for |t| < pi, where 1 - e^-2t first vanishes; with M the largest |R| on a circle
+    # |t| = rho < pi, Cauchy gives |r_k| <= M/rho^k, so the tail is at most
+    # M (t/rho)^4/(1 - t/rho) for t < rho, and rho = 2.9 holds the form's whole range
+    rho = 2.9
+    circle = rho * np.exp(2j * np.pi * np.arange(2 ** 14) / 2 ** 14)
+    x = np.exp(-2.0 * circle)
+    regular = (1.0 + x) / (1.0 - x) ** 3 - 1.0 / (4.0 * circle ** 3) - 1.0 / (2.0 * circle ** 2) - 0.5 / circle
+    m = np.abs(regular).max()
+    alphas = np.geomspace(EM_ALPHA_RANGE[THREE_D, VARIANT_DERIVED][0], 1e4, 1000)
+    t = 1.0 / alphas
+    assert t.max() < rho
+    tail = np.array([exact_minus_em(THREE_D, alpha) for alpha in alphas]) - t ** 3 / 189
+    ratios = np.abs(tail) / (m * (t / rho) ** 4 / (1.0 - t / rho))
+    assert ratios.max() <= 1.0
+    # the first term of the tail, r_4 t^4 = -t^4/189, is the whole tail as alpha grows
+    assert tail[-1] == pytest.approx(-t[-1] ** 4 / 189, rel=1e-3)
+
 def test_em_1d_paper_gap_grows_as_alpha_cubed_over_5400():
     gap = exact_minus_em(ONE_D, 10.0, VARIANT_PAPER)
     assert gap == pytest.approx(0.185, abs=5e-4)

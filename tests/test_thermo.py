@@ -3,6 +3,7 @@
 import math
 import pickle
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -17,8 +18,10 @@ from ringosc.partition import (
     THREE_D,
     VARIANT_DERIVED,
     VARIANT_PAPER,
+    PartitionSpec,
     em_coefficients,
     em_z_derivatives,
+    partition_direct,
 )
 from ringosc.thermo import (
     EM_ALPHA_RANGE,
@@ -624,6 +627,39 @@ def test_alpha_above_alpha_max_is_domain_error(bad):
     with pytest.raises(DomainError, match="alpha_max <= 1e\\+100"):
         SweepSpec.from_grid(1.0, bad, 10, z_method="em")
 
+
+
+# a bad input of each kind: em alphas outside (0, ALPHA_MAX] or below the form's
+# range (0.3 in 3d, 0.2 in 1d), a bad mode, a bad z_method, and a bad alpha with a
+# bad mode, where the alpha is named first
+REFUSED = [(a, mode, "em") for mode in (THREE_D, ONE_D) for a in (0.0, -1.0, math.nan, math.inf, 1e120)]
+REFUSED += [(0.3, THREE_D, "em"), (0.2, ONE_D, "em"), (1.0, "2d", "direct"), (1.0, THREE_D, "magic"),
+            (math.nan, "2d", "em")]
+
+
+@pytest.mark.parametrize("alpha, mode, z_method", REFUSED)
+def test_point_and_one_point_grid_refuse_alike(alpha, mode, z_method):
+    # a point's em alpha outside (0, ALPHA_MAX] named the form's range, and a
+    # grid's named (0, ALPHA_MAX]: one check now serves both
+    with pytest.raises((DomainError, UsageError)) as point:
+        thermo_point(alpha, mode, z_method)
+    with pytest.raises((DomainError, UsageError)) as grid:
+        SweepSpec((alpha,), mode=mode, z_method=z_method)
+    assert type(point.value) is type(grid.value)
+    assert str(point.value) == str(grid.value)
+
+
+@pytest.mark.parametrize("mode", [THREE_D, ONE_D])
+def test_subnormal_alpha_runs_without_a_warning(mode):
+    # below alpha ~ 1e-308, -c/alpha overflows to -inf in the array kernel and in
+    # the direct sum's terms; numpy warned of it, although every value was right
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        points = sweep(SweepSpec((5e-324, 1e-320, 1e-300), mode=mode)).points
+        direct = partition_direct(PartitionSpec(mode, 5e-324))
+    assert all(pt[1:6] == (1.0, 0.0, 0.0, 0.0, 0.0) for pt in points)
+    assert points[0] == thermo_point(5e-324, mode)
+    assert (direct.Z, direct.tail_bound) == (1.0, 0.0)
 
 # -------------------------------------------------------------- jump scan
 
