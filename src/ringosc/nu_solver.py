@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import BranchError, ConvergenceError, DomainError
+from .errors import BranchError, ConvergenceError, DomainError, check_count
 
 RESIDUAL_TOL = 1e-12  # |f| at the secant root, relative to the larger endpoint |f|
 
@@ -96,8 +96,7 @@ def quantization_residual(derived: NUDerived, s: int) -> float:
     coefficients.  With b3 = 0 the b3-proportional terms vanish
     identically, which is the rule that terminates a confluent series.
     """
-    if s < 0 or int(s) != s:
-        raise DomainError(f"s must be a non-negative integer, got {s}")
+    check_count("s", s)
     problem, _, beta5, _, beta7, beta8, beta9 = derived
     _, beta2, beta3, _, _, _ = problem
     if beta8 < 0.0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 __all__ = [
     "jacobi_poly",
@@ -39,8 +39,7 @@ def jacobi_poly(degree: int, a: float, x: float) -> float:
     The series definition is deliberately kept out of the library; it
     lives in the test suite as an independent oracle.
     """
-    if degree < 0 or int(degree) != degree:
-        raise DomainError(f"degree must be a non-negative integer, got {degree}")
+    check_count("degree", degree)
     if not math.isfinite(a) or a <= -1.0:
         raise DomainError(f"a must be finite and > -1, got {a}")
     if not math.isfinite(x) or abs(x) > 1.0 + 1e-9:
@@ -62,8 +61,7 @@ def laguerre_poly(n: int, a: float, y: float) -> float:
     L_0 = 1 and L_1 = 1 + a - y.  Unlike the alternating 1F1 sum it
     rounds at the scale of the polynomial, not of its largest term.
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a non-negative integer, got {n}")
+    check_count("n", n)
     if not math.isfinite(a) or a <= -1.0:
         raise DomainError(f"a must be finite and > -1, got {a}")
     if not math.isfinite(y) or y < 0.0:
@@ -104,8 +102,7 @@ def hyp1f1_terminating(n: int, b: float, y: float) -> float:
     Successive terms follow from the ratio (k - n) y / ((b + k)(k + 1)),
     so no factorials or Pochhammer symbols are formed explicitly.
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a non-negative integer, got {n}")
+    check_count("n", n)
     if not math.isfinite(b) or (b <= 0.0 and b == math.floor(b)):
         raise DomainError(f"b must not be a non-positive integer, got {b}")
     if not math.isfinite(y) or y < 0.0:
@@ -125,8 +122,7 @@ def gamma_ratio_prefactor(n: int, ell: float) -> float:
     (3/2 + ell + j) / (1 + j), which stays in range for n up to ~1e3
     where a naive Gamma quotient would overflow.
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a non-negative integer, got {n}")
+    check_count("n", n)
     if 1.5 + ell <= 0.0:
         raise DomainError(f"need 3/2 + ell > 0, got ell = {ell}")
     out = 1.0

@@ -49,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_count
 from .nu_solver import NUProblem, derive, quantization_residual, solve_bracketed
 from .specfun import _laguerre_frexp, jacobi_poly, laguerre_poly
 
@@ -191,7 +191,7 @@ def angular_solution(p: PotentialParams, s: int, m: int) -> AngularSolution:
             raise DomainError(
                 f"{name} must be at most {QUANTUM_NUMBER_MAX:g}, where L stays finite; got {name}={value}"
             )
-    if s < 0 or int(s) != s or m < 0 or int(m) != m:
+    if not (s >= 0 and s % 1 == 0 and m >= 0 and m % 1 == 0):
         raise DomainError("s and m must be non-negative integers")
     lam = big_lambda(p, m)
     odd = 1.0 + 2.0 * s
@@ -271,10 +271,9 @@ def radial_energy_from_quantization(n: int, ell: float) -> float:
 
 
 def energy_over_xi(n: int, ell: float) -> float:
-    """Dimensionless level 4n + 2 ell + 3."""
-    if n < 0 or int(n) != n:
-        raise DomainError(f"n must be a non-negative integer, got {n}")
-    if ell < 0.0:
+    """Dimensionless level 4n + 2 ell + 3, for a count n and a finite ell >= 0."""
+    check_count("n", n)
+    if not 0.0 <= ell < math.inf:
         raise DomainError(f"ell must be >= 0, got {ell}")
     return 4.0 * n + 2.0 * ell + 3.0
 
@@ -303,8 +302,7 @@ def energy_over_xi_special_case(p: PotentialParams, case: str, N: int, s: int, m
     textbook oscillator is a property of these closed forms, preserved
     as stated.
     """
-    if N < 0 or int(N) != N:
-        raise DomainError(f"N must be a non-negative integer, got {N}")
+    check_count("N", N)
     if case not in _DROPPED_COUPLINGS:
         raise UsageError(f"unknown case {case!r}; expected one of {SPECIAL_CASES}")
     dropped = _DROPPED_COUPLINGS[case]
@@ -321,15 +319,13 @@ def degeneracy(n_prime: int) -> int:
     i.e. the counting that runs ell over every integer up to n' without
     a parity constraint; ``degeneracy_sum`` is the loop it closes.
     """
-    if n_prime < 0 or int(n_prime) != n_prime:
-        raise DomainError(f"n_prime must be a non-negative integer, got {n_prime}")
+    check_count("n_prime", n_prime)
     return (1 + int(n_prime)) ** 2
 
 
 def degeneracy_sum(n_prime: int) -> int:
     """Brute-force degeneracy count, Sum of (2 ell + 1) over ell = 0..n'."""
-    if n_prime < 0 or int(n_prime) != n_prime:
-        raise DomainError(f"n_prime must be a non-negative integer, got {n_prime}")
+    check_count("n_prime", n_prime)
     return sum(2 * ell + 1 for ell in range(int(n_prime) + 1))
 
 
@@ -350,12 +346,12 @@ def radial_wavefunction(p: PotentialParams, n: int, ell: float, r: float) -> flo
     polynomial overflows or the weight under- or overflows (n in the
     hundreds, ell in the hundreds, or a huge r), the polynomial is rerun as
     m 2^e and the value taken as exp(mu ln y - y/2 + e ln 2) m; a value
-    past the float range even so is a ``DomainError``.  Needs ell >= 0 and
-    a finite r >= 0.
+    past the float range even so is a ``DomainError``.  Needs a finite
+    ell >= 0 and a finite r >= 0.
     """
-    if r < 0.0:
+    if not 0.0 <= r < math.inf:
         raise DomainError(f"r must be >= 0, got {r}")
-    if ell < 0.0:
+    if not 0.0 <= ell < math.inf:
         raise DomainError(f"ell must be >= 0, got {ell}")
     y = radial_variable(p, r)
     mu = 0.5 * (ell + 1.0)

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_count
 from .partition import (
     ALPHA_MAX,
     LADDER_TERMS,
@@ -221,13 +221,14 @@ class SweepSpec:
 
     @staticmethod
     def from_grid(alpha_min, alpha_max, points, spacing="log", **kwargs) -> "SweepSpec":
+        check_count("points", points)
         if not 1 <= points <= POINTS_MAX:
             raise DomainError(f"points must be in [1, {POINTS_MAX}], got {points}")
         if not 0.0 < alpha_min <= alpha_max <= ALPHA_MAX:
             raise DomainError(f"need 0 < alpha_min <= alpha_max <= {ALPHA_MAX:g}, got [{alpha_min}, {alpha_max}]")
         if spacing not in SPACINGS:
             raise UsageError(f"spacing must be one of {SPACINGS}, got {spacing!r}")
-        return SweepSpec(alphas=_GRIDS[spacing](alpha_min, alpha_max, points), **kwargs)
+        return SweepSpec(alphas=_GRIDS[spacing](alpha_min, alpha_max, int(points)), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -491,14 +491,19 @@ def laurent_table(mode, order):
     return {k: Fraction(int(c.p), int(c.q)) for k, c in coeffs.items() if c}
 
 
+def em_gap(mode, a, variant=VARIANT_DERIVED):
+    """Z of the exact ladder less Z of the Euler-Maclaurin form at the mpf a,
+    in the working precision of mpmath."""
+    x = mp.exp(-(2 if mode == THREE_D else 1) / a)
+    exact = (1 + x) / (1 - x) ** 3 if mode == THREE_D else 1 / (1 - x)
+    em = sum(mp.mpf(c.numerator) / c.denominator * a ** k for k, c in em_coefficients(mode, variant).items())
+    return exact - em
+
+
 def exact_minus_em(mode, alpha, variant=VARIANT_DERIVED):
     """Z of the exact ladder less Z of the Euler-Maclaurin form, in 50 digits."""
     with mp.workdps(50):
-        a = mp.mpf(alpha)
-        x = mp.exp(-(2 if mode == THREE_D else 1) / a)
-        exact = (1 + x) / (1 - x) ** 3 if mode == THREE_D else 1 / (1 - x)
-        em = sum(mp.mpf(c.numerator) / c.denominator * a ** k for k, c in em_coefficients(mode, variant).items())
-        return float(exact - em)
+        return float(em_gap(mode, mp.mpf(alpha), variant))
 
 
 def test_em_1d_derived_is_the_laurent_series_cut_after_t3():
@@ -558,3 +563,28 @@ def test_em_1d_paper_gap_grows_as_alpha_cubed_over_5400():
     gap = exact_minus_em(ONE_D, 10.0, VARIANT_PAPER)
     assert gap == pytest.approx(0.185, abs=5e-4)
     assert gap == pytest.approx(10.0 ** 3 / 5400, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "variant,alphas",
+    [
+        (VARIANT_DERIVED, np.geomspace(1e-3, 1e4, 2000)),
+        (VARIANT_PAPER, np.geomspace(*EM_ALPHA_RANGE[ONE_D, VARIANT_PAPER], 2000)),
+    ],
+)
+def test_em_1d_gap_within_the_euler_maclaurin_remainder_at_every_alpha(variant, alphas):
+    # the summation formula cut after B_4 leaves a remainder of at most 2 zeta(4)/(2 pi)^4 times
+    # the integral over [0, inf) of |f^(4)|; for f(x) = e^(-t x), t = 1/alpha, that is
+    # t^4 alpha/720 = t^3/720 at every alpha > 0, where the series bound needs t < 2 pi.
+    # 'paper' is 'derived' with -t^3/720 swapped for -alpha^3/5400, so its gap is at most
+    # t^3/720 + |alpha^3/5400 - t^3/720|.  Each bound is tight at one end of its grid, within
+    # 6e-5 and 2e-8, closer than floats resolve the gap, so the ratio is formed in 50 digits
+    with mp.workdps(50):
+        ratios = []
+        for alpha in alphas:
+            a = mp.mpf(alpha)
+            t = 1 / a
+            bound = t ** 3 / 720 + (abs(a ** 3 / 5400 - t ** 3 / 720) if variant == VARIANT_PAPER else 0)
+            ratios.append(abs(em_gap(ONE_D, a, variant)) / bound)
+        assert max(ratios) <= 1
+        assert (ratios[0] if variant == VARIANT_DERIVED else ratios[-1]) > 0.9999

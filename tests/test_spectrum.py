@@ -277,6 +277,20 @@ def test_energy_domain():
             energy_over_xi_special_case(NATURAL, "oscillator", N, 0, 0)
 
 
+@pytest.mark.parametrize("ell", [math.nan, math.inf, -math.inf])
+def test_a_nan_or_infinite_ell_names_ell(ell):
+    with pytest.raises(DomainError, match=f"^ell must be >= 0, got {ell}$"):
+        energy_over_xi(0, ell)
+    with pytest.raises(DomainError, match=f"^ell must be >= 0, got {ell}$"):
+        radial_wavefunction(NATURAL, 0, ell, 1.0)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_a_nan_or_infinite_r_names_r(r):
+    with pytest.raises(DomainError, match=f"^r must be >= 0, got {r}$"):
+        radial_wavefunction(NATURAL, 0, 0.5, r)
+
+
 # ---------------------------------------------------------- special cases
 
 
